@@ -70,23 +70,6 @@ struct BlockingStats {
 /// (cellslot, poi) — near-linear in check-in volume, never O(n^2).
 graph::Graph strong_cooccurrence_graph(const CellIndex& index);
 
-/// Appends the cell tier's candidate pairs whose *anchor* cell lies in a
-/// grid of [grid_lo, grid_hi): within-cell pairs plus the forward
-/// slot-tolerance window (which never leaves the anchor's grid, so anchor
-/// ranges partition the cell tier exactly — the property the sharded
-/// generator leans on: the shard-ordered union over a grid partition equals
-/// the monolithic scan). Pairs are appended unsorted and may repeat.
-void append_cell_tier_pairs(const CellIndex& index, std::uint32_t grid_lo,
-                            std::uint32_t grid_hi, int slot_tolerance,
-                            std::vector<data::UserPair>& out);
-
-/// Appends the hop tier: every pair at most `hop_expansion` hops apart in
-/// the strong-co-occurrence graph. Inherently global (BFS closure over
-/// users, not cells) — the sharded generator runs it once after the
-/// per-shard cell tiers are merged. No-op when hop_expansion <= 0.
-void append_hop_tier_pairs(const CellIndex& index, int hop_expansion,
-                           std::vector<data::UserPair>& out);
-
 /// Generates every candidate pair from the index alone (no dense
 /// enumeration): cell-co-occurring pairs from per-cell user lists joined
 /// across the slot-tolerance window, unioned with pairs at most

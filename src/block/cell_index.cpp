@@ -57,34 +57,15 @@ CellIndex::CellIndex(const data::Dataset& dataset,
     }
     std::sort(visits.begin(), visits.end());
     visits.erase(std::unique(visits.begin(), visits.end()), visits.end());
-  });
 
-  finalize_from_visits();
-  span.arg("occupied_cells", static_cast<double>(occupied_.size()));
-}
-
-CellIndex CellIndex::from_parts(std::size_t grid_count, std::size_t slot_count,
-                                std::vector<std::vector<PoiVisit>> poi_visits) {
-  CellIndex index;
-  index.grid_count_ = grid_count;
-  index.slot_count_ = slot_count;
-  index.cell_profiles_.resize(poi_visits.size());
-  index.poi_visits_ = std::move(poi_visits);
-  index.finalize_from_visits();
-  return index;
-}
-
-void CellIndex::finalize_from_visits() {
-  // Profiles are the visit lists with the POI dimension collapsed; visits
-  // are sorted by (cellslot, poi), so a run of equal cellslots is adjacent.
-  for (std::size_t u = 0; u < poi_visits_.size(); ++u) {
+    // The profile is the visit list with the POI dimension collapsed;
+    // visits are sorted by (cellslot, poi), so equal cellslots are adjacent.
     auto& profile = cell_profiles_[u];
-    profile.clear();
-    profile.reserve(poi_visits_[u].size());
-    for (const PoiVisit& v : poi_visits_[u])
+    profile.reserve(visits.size());
+    for (const PoiVisit& v : visits)
       if (profile.empty() || profile.back() != v.cellslot)
         profile.push_back(v.cellslot);
-  }
+  });
 
   // Inverted cellslot -> users index (CSR over occupied cells). Sequential
   // and deterministic: users ascend, so each cell's list is born sorted.
@@ -123,6 +104,7 @@ void CellIndex::finalize_from_visits() {
     }
   }
   signature_ = h;
+  span.arg("occupied_cells", static_cast<double>(occupied_.size()));
 }
 
 std::span<const data::UserId> CellIndex::users_in_cell(

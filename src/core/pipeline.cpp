@@ -20,7 +20,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/par.h"
-#include "shard/sharded_index.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -30,6 +29,9 @@ FriendSeeker::FriendSeeker(const FriendSeekerConfig& config)
     : config_(config) {
   if (config.k < 2)
     throw std::invalid_argument("FriendSeeker: k must be >= 2");
+  if (config.blocking.slot_tolerance < 0)
+    throw std::invalid_argument(
+        "FriendSeeker: blocking slot_tolerance must be >= 0");
   if (config.tau_days <= 0.0)
     throw std::invalid_argument("FriendSeeker: tau must be > 0");
 }
@@ -80,9 +82,6 @@ std::uint64_t run_fingerprint(const FriendSeekerConfig& config,
   mix(config.sigma);
   mix(static_cast<std::uint64_t>(config.tau_days * 1e6));
   mix(config.presence.feature_dim);
-  // The quantized-KNN knob can flip decisions near the prune slack, so a
-  // checkpoint written under one distance path never seeds the other.
-  mix(static_cast<std::uint64_t>(config.presence.knn_quantize));
   mix(static_cast<std::uint64_t>(config.phase2_classifier));
   // Blocking changes which rows are ever scored, so a checkpoint written
   // under one blocking configuration must not seed a run under another.
@@ -163,35 +162,7 @@ FriendSeekerResult FriendSeeker::run(
   // genuinely hidden friend pair that never co-occurs and sits outside the
   // hop radius is predicted non-friend (and, when blocking is on, counted
   // in block.candidates_pruned).
-  // Sharded execution (config.shards >= 1) builds the identical CellIndex
-  // one quadtree-subtree grid range at a time and later groups phase-1
-  // scoring by pair owner shard; the monolithic path (shards == 0) is the
-  // pre-sharding pipeline, untouched. Both meet at the same index bytes —
-  // signature() equality is checked by the shard tests — so every
-  // downstream digest agrees by construction.
-  const bool sharded = config_.shards >= 1;
-  std::optional<shard::ShardPlan> plan;
-  std::vector<std::uint64_t> shard_rows;
-  const block::CellIndex cell_index = [&]() -> block::CellIndex {
-    if (!sharded) return block::CellIndex(dataset, *division, slots, ctx);
-    const shard::BinnedCheckins binned =
-        shard::bin_checkins(dataset, *division, slots, ctx);
-    plan.emplace(shard::ShardPlan::build(
-        shard::grid_row_weights(binned, division->cell_count()),
-        config_.shards));
-    shard_rows = shard::shard_row_counts(binned, *plan);
-    return shard::build_sharded_index(dataset, binned, slots,
-                                      division->cell_count(), *plan, ctx);
-  }();
-  std::vector<shard::ShardRunStats> shard_stats;
-  if (sharded) {
-    shard_stats.resize(plan->shard_count());
-    for (std::size_t s = 0; s < plan->shard_count(); ++s) {
-      shard_stats[s].grid_lo = plan->shard(s).grid_lo;
-      shard_stats[s].grid_hi = plan->shard(s).grid_hi;
-      shard_stats[s].rows = shard_rows[s];
-    }
-  }
+  const block::CellIndex cell_index(dataset, *division, slots, ctx);
   const bool blocking_on =
       block::blocking_enabled(config_.blocking, universe.pairs.size());
   block::BlockingStats blocking_stats;
@@ -246,29 +217,6 @@ FriendSeekerResult FriendSeeker::run(
   util::log_debug("FriendSeeker: universe=", universe.pairs.size(),
                   " scored=", active_count,
                   blocking_on ? " (blocking on)" : " (blocking off)");
-
-  // ---- Pair ownership (sharded runs). ----
-  // Every universe pair is charged to exactly one shard, so the per-shard
-  // scored/pruned counts partition the blocking totals — the invariant the
-  // schema-v4 bench validator enforces. Ownership is pure accounting plus
-  // the phase-1 grouping key; it never changes which pairs are scored.
-  std::vector<std::size_t> owner_of_row;
-  if (sharded) {
-    owner_of_row.resize(universe.pairs.size());
-    for (std::size_t row = 0; row < universe.pairs.size(); ++row) {
-      const std::size_t owner =
-          shard::owner_shard(cell_index, *plan, universe.pairs[row]);
-      owner_of_row[row] = owner;
-      ++shard_stats[owner].universe_pairs;
-      if (active_of_row[row] != kInactive)
-        ++shard_stats[owner].scored_pairs;
-      else
-        ++shard_stats[owner].pruned_pairs;
-    }
-    obs::metrics()
-        .gauge("shard.count", {}, "shards of the latest sharded run")
-        .set(static_cast<double>(plan->shard_count()));
-  }
 
   // ---- Feature cache (run-local unless the caller shares one). ----
   // The signature covers everything the cached rows are a function of: the
@@ -349,28 +297,7 @@ FriendSeekerResult FriendSeeker::run(
       const data::UserPair& pair = universe.pairs[active_rows[fill_ai[i]]];
       build_joc(occupancy, pair.first, pair.second, fill[i], joc_options);
     };
-    if (sharded) {
-      // Same fills, grouped by owner shard and run in plan order — each
-      // fill writes its own arena slot, so grouping is invisible to the
-      // bytes and only exists for per-shard wall/row accounting (and, out
-      // of core, for touching one store stripe's worth of pages at a time).
-      std::vector<std::vector<std::size_t>> by_shard(plan->shard_count());
-      for (std::size_t i = 0; i < fill.size(); ++i)
-        by_shard[owner_of_row[active_rows[fill_ai[i]]]].push_back(i);
-      for (std::size_t s = 0; s < by_shard.size(); ++s) {
-        if (by_shard[s].empty()) continue;
-        obs::Span shard_span("shard.joc.group");
-        shard_span.arg("shard", static_cast<double>(s));
-        shard_span.arg("rows", static_cast<double>(by_shard[s].size()));
-        const std::vector<std::size_t>& group = by_shard[s];
-        par::parallel_for(group.size(), jopts,
-                          [&](std::size_t i) { fill_one(group[i]); });
-        shard_span.end();
-        shard_stats[s].wall_ms = shard_span.seconds() * 1000.0;
-      }
-    } else {
-      par::parallel_for(fill.size(), jopts, fill_one);
-    }
+    par::parallel_for(fill.size(), jopts, fill_one);
     par::parallel_for(active_count, jopts, [&](std::size_t ai) {
       std::copy(rows[ai], rows[ai] + occupancy.joc_dim(), all_jocs.row(ai));
     });
@@ -435,10 +362,6 @@ FriendSeekerResult FriendSeeker::run(
   std::optional<PresenceModel> presence_storage;
   if (resumed.has_value()) {
     presence_storage = std::move(*resumed->presence);
-    // The quantize knob is runtime-only (never serialized); re-apply it to
-    // the restored model. The fingerprint already guarantees it matches
-    // the flag the checkpoint was written under.
-    presence_storage->set_knn_quantize(config_.presence.knn_quantize);
     result.resumed_from_iteration = resumed->iteration;
     diagnostics.report(util::Severity::kInfo, ErrorCode::kIo, "pipeline",
                        "resumed from checkpoint at iteration " +
@@ -875,7 +798,6 @@ FriendSeekerResult FriendSeeker::run(
   // ---- Blocking & cache accounting. ----
   result.blocking_active = blocking_on;
   result.blocking = blocking_stats;
-  result.shards = std::move(shard_stats);
   result.cache = cache->stats();
   if (after_first_iteration.has_value()) {
     const std::uint64_t late_hits =

@@ -7,9 +7,6 @@
 //   static void micro_kernel(std::size_t kc, const double* ap,
 //                            const double* bp, double* acc);
 //       // acc[kMr*kNr] = sum_{p<kc} ap[p*kMr+i] * bp[p*kNr+j], overwriting
-//   static float lb_row(const std::uint8_t* codes, std::size_t dim,
-//                       const float* query, const float* scale,
-//                       const float* offset, const float* half_scale);
 //
 // Blocking follows the BLIS decomposition: B is packed into NR-wide column
 // panels per (jc, pc) block by the calling thread; A is packed into
@@ -28,7 +25,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "kern/kern.h"
 #include "kern/kern_internal.h"
@@ -181,17 +177,6 @@ void run_gemm(const GemmCall& call) {
         par::parallel_for(num_ic, options, block_body);
     }
   }
-}
-
-template <typename Arch>
-void run_knn_lb(const std::uint8_t* codes, std::size_t n, std::size_t dim,
-                const float* query, const float* scale, const float* offset,
-                const float* half_scale, float* out_lb) {
-  // Serial on purpose: callers (KNN predict) already run one query per
-  // fs::par chunk, and nested regions would inline anyway.
-  for (std::size_t i = 0; i < n; ++i)
-    out_lb[i] =
-        Arch::lb_row(codes + i * dim, dim, query, scale, offset, half_scale);
 }
 
 }  // namespace fs::kern::detail

@@ -217,16 +217,4 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
                  /*b_trans=*/false, c, ldc, accumulate, epilogue, bias));
 }
 
-void knn_lower_bounds(const std::uint8_t* codes, std::size_t n,
-                      std::size_t dim, const float* query, const float* scale,
-                      const float* offset, const float* half_scale,
-                      float* out_lb) {
-  if (n == 0) return;
-  if (codes == nullptr || query == nullptr || scale == nullptr ||
-      offset == nullptr || half_scale == nullptr || out_lb == nullptr)
-    throw std::invalid_argument("kern::knn_lower_bounds: null argument");
-  active_vtable()->knn_lb(codes, n, dim, query, scale, offset, half_scale,
-                          out_lb);
-}
-
 }  // namespace fs::kern

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "kern/kern.h"
 
@@ -15,9 +14,6 @@ namespace fs::kern::detail {
 
 struct VTable {
   void (*gemm)(const GemmCall& call);
-  void (*knn_lb)(const std::uint8_t* codes, std::size_t n, std::size_t dim,
-                 const float* query, const float* scale, const float* offset,
-                 const float* half_scale, float* out_lb);
 };
 
 /// Always available; the golden reference.

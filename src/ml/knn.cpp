@@ -1,26 +1,12 @@
 #include "ml/knn.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
-#include "kern/kern.h"
 #include "obs/metrics.h"
 #include "par/par.h"
 
 namespace fs::ml {
-
-namespace {
-
-/// Relative slack on the prune test: the int8 bound underestimates by
-/// construction, but it is accumulated in f32 from an f32-cast query, so
-/// a row is only discarded when its bound clears the k-th exact distance
-/// by more than this margin. Matches the admissibility contract verified
-/// in kern_test (bound <= exact * (1 + slack)).
-constexpr double kLbSlack = 1e-3;
-
-}  // namespace
 
 KnnClassifier::KnnClassifier(std::size_t k) : k_(k) {
   if (k == 0) throw std::invalid_argument("KnnClassifier: k must be > 0");
@@ -33,61 +19,11 @@ void KnnClassifier::fit(nn::Matrix features, std::vector<int> labels) {
     throw std::invalid_argument("KnnClassifier::fit: empty training set");
   features_ = std::move(features);
   labels_ = std::move(labels);
-  quant_stats_ = {};
-  if (quantize_) build_quant_index();
-}
-
-void KnnClassifier::set_quantize(bool enabled) {
-  quantize_ = enabled;
-  if (enabled) {
-    if (!labels_.empty() && codes_.empty()) build_quant_index();
-  } else {
-    codes_.clear();
-    scale_.clear();
-    offset_.clear();
-    half_scale_.clear();
-  }
-}
-
-void KnnClassifier::build_quant_index() {
-  const std::size_t n = features_.rows();
-  const std::size_t dim = features_.cols();
-  scale_.assign(dim, 1.0f);
-  offset_.assign(dim, 0.0f);
-  half_scale_.assign(dim, 0.0f);
-  for (std::size_t c = 0; c < dim; ++c) {
-    double lo = features_(0, c);
-    double hi = lo;
-    for (std::size_t i = 1; i < n; ++i) {
-      lo = std::min(lo, features_(i, c));
-      hi = std::max(hi, features_(i, c));
-    }
-    offset_[c] = static_cast<float>(lo);
-    if (hi > lo) {
-      scale_[c] = static_cast<float>((hi - lo) / 255.0);
-      half_scale_[c] = 0.5f * scale_[c];
-    }
-    // Degenerate dimension (all rows equal): codes stay 0, the decoded
-    // value is exactly offset_, and half_scale_ = 0 keeps the bound tight.
-  }
-  codes_.assign(n * dim, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = features_.row(i);
-    std::uint8_t* code = codes_.data() + i * dim;
-    for (std::size_t c = 0; c < dim; ++c) {
-      // Quantize against the f32-rounded scale/offset the kernel will
-      // decode with, so |row - decoded| <= scale/2 up to f32 ulps.
-      const double s = static_cast<double>(scale_[c]);
-      const double q = std::round((row[c] - static_cast<double>(offset_[c])) / s);
-      code[c] = static_cast<std::uint8_t>(std::clamp(q, 0.0, 255.0));
-    }
-  }
 }
 
 double KnnClassifier::predict_proba(const double* query) const {
   if (labels_.empty())
     throw std::logic_error("KnnClassifier: predict before fit");
-  if (quantize_) return quantized_proba(query, nullptr);
   const std::size_t n = features_.rows();
   const std::size_t dim = features_.cols();
   const std::size_t k = std::min(k_, n);
@@ -117,78 +53,6 @@ double KnnClassifier::predict_proba(const double* query) const {
   return static_cast<double>(positives) / static_cast<double>(best.size());
 }
 
-double KnnClassifier::quantized_proba(const double* query,
-                                      std::uint64_t* exact_evals) const {
-  const std::size_t n = features_.rows();
-  const std::size_t dim = features_.cols();
-  const std::size_t k = std::min(k_, n);
-  std::uint64_t evals = 0;
-
-  const auto exact = [&](std::size_t i) {
-    // Same expression, same order as the full-precision scan — survivors
-    // get bit-identical distances.
-    const double* row = features_.row(i);
-    double dist = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = row[c] - query[c];
-      dist += d * d;
-    }
-    return dist;
-  };
-
-  // Per-thread scratch: one query runs per fs::par chunk, so reusing the
-  // buffers across the batch is race-free and allocation-free.
-  thread_local std::vector<float> qf;
-  thread_local std::vector<float> lb;
-  thread_local std::vector<std::size_t> seeds;
-  qf.resize(dim);
-  for (std::size_t c = 0; c < dim; ++c) qf[c] = static_cast<float>(query[c]);
-  lb.resize(n);
-  kern::knn_lower_bounds(codes_.data(), n, dim, qf.data(), scale_.data(),
-                         offset_.data(), half_scale_.data(), lb.data());
-
-  // Seed the heap with the k tightest lower bounds evaluated exactly, so
-  // the prune threshold starts close to its final value.
-  seeds.resize(n);
-  std::iota(seeds.begin(), seeds.end(), std::size_t{0});
-  std::nth_element(seeds.begin(), seeds.begin() + (k - 1), seeds.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return lb[a] != lb[b] ? lb[a] < lb[b] : a < b;
-                   });
-  seeds.resize(k);
-  std::sort(seeds.begin(), seeds.end());
-
-  // Max-heap over (distance, index) pairs: the lexicographic order makes
-  // the kept set canonical, reproducing the training-order tie rule of
-  // the full-precision scan.
-  std::vector<std::pair<double, std::size_t>> best;
-  best.reserve(k);
-  for (const std::size_t i : seeds) {
-    best.emplace_back(exact(i), i);
-    ++evals;
-    std::push_heap(best.begin(), best.end());
-  }
-
-  double threshold = best.front().first * (1.0 + kLbSlack);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (static_cast<double>(lb[i]) > threshold) continue;  // pruned
-    if (std::binary_search(seeds.begin(), seeds.end(), i)) continue;
-    const std::pair<double, std::size_t> cand(exact(i), i);
-    ++evals;
-    if (cand < best.front()) {
-      std::pop_heap(best.begin(), best.end());
-      best.back() = cand;
-      std::push_heap(best.begin(), best.end());
-      threshold = best.front().first * (1.0 + kLbSlack);
-    }
-  }
-
-  if (exact_evals != nullptr) *exact_evals = evals;
-  std::size_t positives = 0;
-  for (const auto& [dist, idx] : best) positives += labels_[idx] != 0;
-  return static_cast<double>(positives) / static_cast<double>(best.size());
-}
-
 std::vector<double> KnnClassifier::predict_proba(
     const nn::Matrix& queries, runtime::ExecutionContext* context) const {
   if (labels_.empty())
@@ -196,10 +60,6 @@ std::vector<double> KnnClassifier::predict_proba(
   if (queries.cols() != features_.cols())
     throw std::invalid_argument("KnnClassifier: query width mismatch");
   std::vector<double> out(queries.rows());
-  // Per-row exact-eval counts land in private slots and are summed after
-  // the join — deterministic totals, no atomics on the hot path.
-  std::vector<std::uint64_t> evals;
-  if (quantize_) evals.assign(queries.rows(), 0);
   // One linear scan per query, queries fanned out across the pool; each
   // query's heap is chunk-local, so slots never contend.
   par::ParallelOptions popts;
@@ -211,31 +71,12 @@ std::vector<double> KnnClassifier::predict_proba(
   // phase boundary instead. Cancellation (SIGINT) still aborts per chunk.
   popts.hard_deadline = false;
   par::parallel_for(queries.rows(), popts, [&](std::size_t r) {
-    if (quantize_)
-      out[r] = quantized_proba(queries.row(r), &evals[r]);
-    else
-      out[r] = predict_proba(queries.row(r));
+    out[r] = predict_proba(queries.row(r));
   });
   // One batched add per matrix call, not one per query row.
   obs::metrics()
       .counter("ml.knn.queries_total", {}, "KNN probability queries answered")
       .add(queries.rows());
-  if (quantize_) {
-    const std::uint64_t total =
-        std::accumulate(evals.begin(), evals.end(), std::uint64_t{0});
-    const std::uint64_t scanned =
-        static_cast<std::uint64_t>(queries.rows()) * features_.rows();
-    quant_stats_.rows_scanned += scanned;
-    quant_stats_.exact_evals += total;
-    obs::metrics()
-        .counter("ml.knn.quant.rows_scanned_total", {},
-                 "candidate rows considered by the quantized KNN path")
-        .add(scanned);
-    obs::metrics()
-        .counter("ml.knn.quant.exact_evals_total", {},
-                 "rows surviving the int8 lower bound to exact rerank")
-        .add(total);
-  }
   return out;
 }
 

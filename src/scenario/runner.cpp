@@ -57,8 +57,6 @@ core::FriendSeekerConfig resolve_seeker(const WorldSpec& world,
   seeker.seed += config_seed;
 
   seeker.blocking.mode = attack.blocking;
-  seeker.presence.knn_quantize = attack.knn_quantize;
-  seeker.shards = attack.shards;
 
   if (model.tau_days > 0.0) seeker.tau_days = model.tau_days;
   if (model.sigma != 0) seeker.sigma = model.sigma;

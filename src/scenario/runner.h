@@ -68,8 +68,8 @@ data::SyntheticWorldConfig resolve_world(const WorldSpec& spec,
                                          std::uint64_t config_seed);
 
 /// Seeker config for a cell: the world preset's seeker with the attack
-/// and model axes applied (blocking mode, quantized KNN, shards, tau,
-/// sigma, slot tolerance, candidate predicate) and seed += config seed.
+/// and model axes applied (blocking mode, tau, sigma, slot tolerance,
+/// candidate predicate) and seed += config seed.
 core::FriendSeekerConfig resolve_seeker(const WorldSpec& world,
                                         const AttackSpec& attack,
                                         const ModelSpec& model,

@@ -39,8 +39,8 @@ std::vector<char> build_image(const data::Dataset& ds,
   const std::vector<data::CheckIn>& checkins = ds.checkins();
   // Cells bin the raw check-in coordinate — the same convention CellIndex
   // uses — not the POI's canonical location: SNAP records at one POI can
-  // carry slightly different coordinates, and the store must agree with the
-  // attack's own binning for shard row ranges to be trustworthy.
+  // carry slightly different coordinates, and the store's (cell, slot)
+  // columns must agree with the attack's own binning.
   std::vector<std::uint32_t> cell_of(n), slot_of(n);
   for (std::size_t i = 0; i < n; ++i) {
     cell_of[i] =

@@ -413,6 +413,12 @@ TEST(Pipeline, ValidatesArguments) {
   bad = fast_seeker_config();
   bad.tau_days = 0.0;
   EXPECT_THROW(FriendSeeker{bad}, std::invalid_argument);
+  // A negative slot window would make the blocking predicate asymmetric.
+  bad = fast_seeker_config();
+  bad.blocking.slot_tolerance = -5;
+  EXPECT_THROW(FriendSeeker{bad}, std::invalid_argument);
+  bad.blocking.slot_tolerance = 0;
+  EXPECT_NO_THROW(FriendSeeker{bad});
 
   FriendSeeker seeker(fast_seeker_config());
   EXPECT_THROW(seeker.run(fx.world.dataset, {}, {}, fx.split.test_pairs),

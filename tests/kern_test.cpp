@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -272,84 +271,6 @@ TEST(KernGemm, RejectsMalformedCalls) {
   EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2,
                        false, Epilogue::kBias, nullptr),
                std::invalid_argument);
-}
-
-// ---------- quantized KNN lower bounds ----------
-
-struct QuantizedSet {
-  std::vector<std::uint8_t> codes;
-  std::vector<float> scale, offset, half_scale;
-  std::vector<double> raw;  // n x dim, full precision
-};
-
-QuantizedSet quantize_rows(std::size_t n, std::size_t dim, util::Rng& rng) {
-  QuantizedSet set;
-  set.raw = random_values(n * dim, rng);
-  set.codes.resize(n * dim);
-  set.scale.resize(dim);
-  set.offset.resize(dim);
-  set.half_scale.resize(dim);
-  for (std::size_t c = 0; c < dim; ++c) {
-    double lo = set.raw[c], hi = set.raw[c];
-    for (std::size_t i = 1; i < n; ++i) {
-      lo = std::min(lo, set.raw[i * dim + c]);
-      hi = std::max(hi, set.raw[i * dim + c]);
-    }
-    const double scale = hi > lo ? (hi - lo) / 255.0 : 0.0;
-    set.offset[c] = static_cast<float>(lo);
-    set.scale[c] = static_cast<float>(scale);
-    set.half_scale[c] = static_cast<float>(scale * 0.5);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = set.raw[i * dim + c];
-      const long code =
-          scale > 0.0 ? std::lround((v - lo) / scale) : 0;
-      set.codes[i * dim + c] =
-          static_cast<std::uint8_t>(std::clamp(code, 0l, 255l));
-    }
-  }
-  return set;
-}
-
-TEST(KernKnnLb, BoundIsAdmissibleAndPathsAgree) {
-  util::Rng rng(555);
-  for (std::size_t dim : {1u, 3u, 8u, 16u, 19u, 48u}) {
-    const std::size_t n = 64;
-    const QuantizedSet set = quantize_rows(n, dim, rng);
-    const std::vector<double> query_d = random_values(dim, rng);
-    std::vector<float> query(dim);
-    for (std::size_t c = 0; c < dim; ++c)
-      query[c] = static_cast<float>(query_d[c]);
-
-    std::vector<float> lb_scalar(n);
-    {
-      PathGuard guard(IsaPath::kScalar);
-      knn_lower_bounds(set.codes.data(), n, dim, query.data(),
-                       set.scale.data(), set.offset.data(),
-                       set.half_scale.data(), lb_scalar.data());
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      double exact = 0.0;
-      for (std::size_t c = 0; c < dim; ++c) {
-        const double d = query_d[c] - set.raw[i * dim + c];
-        exact += d * d;
-      }
-      // Admissible modulo f32 rounding: the engine prunes with a relative
-      // slack, so the bound must not exceed the true distance by more
-      // than that slack.
-      EXPECT_LE(static_cast<double>(lb_scalar[i]), exact * (1.0 + 1e-3))
-          << "dim=" << dim << " row=" << i;
-    }
-    for (IsaPath path : supported_paths()) {
-      PathGuard guard(path);
-      std::vector<float> lb(n);
-      knn_lower_bounds(set.codes.data(), n, dim, query.data(),
-                       set.scale.data(), set.offset.data(),
-                       set.half_scale.data(), lb.data());
-      for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(lb[i], lb_scalar[i], 1e-4f * (1.0f + lb_scalar[i]))
-            << path_name(path) << " dim=" << dim << " row=" << i;
-    }
-  }
 }
 
 TEST(KernAligned, PackScratchAndAllocatorAre64ByteAligned) {

@@ -74,7 +74,7 @@ TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
       "world": [{"preset": "gowalla", "users": 50, "cyber_fraction": 0.4}],
       "defense": [{"mechanism": "hiding", "rate": 0.25},
                   {"mechanism": "blur-cross", "rate": 0.3, "grid_sigma": 60}],
-      "attack": [{"blocking": "on", "knn_quantize": true, "shards": 2}],
+      "attack": [{"blocking": "on", "threads": 2}],
       "model": [{"tau_days": 3.5, "slot_tolerance": 1,
                  "predicate": "cooccur"}],
       "dynamics": [{"drift": 0.5}]
@@ -89,8 +89,8 @@ TEST(ScenarioConfigTest, ParsesAndRoundTrips) {
             scenario::DefenseMechanism::kHiding);
   EXPECT_DOUBLE_EQ(config.defenses[0].rate, 0.25);
   EXPECT_EQ(config.defenses[1].grid_sigma, 60u);
-  EXPECT_TRUE(config.attacks[0].knn_quantize);
-  EXPECT_EQ(config.attacks[0].shards, 2u);
+  EXPECT_EQ(config.attacks[0].blocking, block::BlockingMode::kOn);
+  EXPECT_EQ(config.attacks[0].threads, 2u);
   EXPECT_EQ(config.models[0].predicate,
             scenario::CandidatePredicate::kCooccur);
   EXPECT_DOUBLE_EQ(config.dynamics[0].drift, 0.5);
@@ -122,6 +122,13 @@ TEST(ScenarioConfigTest, RejectsUnknownKeysEverywhere) {
                ParseError);
   EXPECT_THROW(scenario::parse_scenario_config_text(
                    R"({"axes": {"defense": [{"mechnism": "hiding"}]}})"),
+               ParseError);
+  // The attack axis accepts only blocking, label and threads.
+  EXPECT_THROW(scenario::parse_scenario_config_text(
+                   R"({"axes": {"attack": [{"shards": 2}]}})"),
+               ParseError);
+  EXPECT_THROW(scenario::parse_scenario_config_text(
+                   R"({"axes": {"attack": [{"knn_quantize": true}]}})"),
                ParseError);
 }
 

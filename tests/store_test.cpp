@@ -2,7 +2,7 @@
 // property (byte-identical to loading the SNAP files directly, quarantine
 // census preserved), rejection of truncated and bit-flipped files with the
 // structured CorruptStore error, the atomic-conversion failpoints, and the
-// row-stripe / resident-page accessors the sharded path leans on.
+// resident-page accessors the CLI reports with.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -295,28 +295,7 @@ TEST(StoreConvert, KillFailpointLeavesTmpNeverFinal) {
   EXPECT_NO_THROW(store::MappedStore::open(path));
 }
 
-// ---------- accessors the sharded path uses ----------
-
-TEST(Store, RowStripesMatchLinearScan) {
-  const StoreFixture fx("fs_store_stripes", 51);
-  const store::MappedStore mapped = store::MappedStore::open(fx.path);
-  const auto cell_col = mapped.cells();
-  const auto grid_count =
-      static_cast<std::uint32_t>(mapped.header().grid_count);
-  std::size_t covered = 0;
-  for (std::uint32_t lo = 0; lo < grid_count; lo += 3) {
-    const std::uint32_t hi = std::min(lo + 3, grid_count);
-    const auto [row_lo, row_hi] = mapped.rows_for_grids(lo, hi);
-    for (std::size_t i = row_lo; i < row_hi; ++i) {
-      EXPECT_GE(cell_col[i], lo);
-      EXPECT_LT(cell_col[i], hi);
-    }
-    if (row_lo > 0) EXPECT_LT(cell_col[row_lo - 1], lo);
-    if (row_hi < cell_col.size()) EXPECT_GE(cell_col[row_hi], hi);
-    covered += row_hi - row_lo;
-  }
-  EXPECT_EQ(covered, mapped.row_count());
-}
+// ---------- resident-page accessors the CLI uses ----------
 
 TEST(Store, ResidentBytesIsBoundedAndReleaseIsSafe) {
   const StoreFixture fx("fs_store_resident", 52);

@@ -1,16 +1,15 @@
 // kernel_bench — fs::kern micro-benchmark. Sweeps the GEMM macro-kernel
-// and the quantized-KNN lower-bound kernel over every ISA path this host
-// supports (pinned per measurement with kern::force_path) and writes a
-// machine-readable JSON report: GFLOP/s per (path, shape) and lower-bound
-// throughput per path, so kernel regressions show up as a number diff
-// instead of a pipeline-level slowdown with no attribution.
+// over every ISA path this host supports (pinned per measurement with
+// kern::force_path) and writes a machine-readable JSON report: GFLOP/s per
+// (path, shape), so kernel regressions show up as a number diff instead of
+// a pipeline-level slowdown with no attribution.
 //
 //   kernel_bench [--out kernel_bench.json] [--threads N] [--min-ms 80]
 //                [--quick]
 //
 // Shapes mirror the pipeline's real products: mini-batch forward/backward
-// GEMMs (m = batch), batch encoding (m = corpus rows), and the KNN
-// reference scan. --quick shrinks reps and the shape list for CI smoke.
+// GEMMs (m = batch), batch encoding (m = corpus rows), and a square
+// stress shape. --quick shrinks reps and the shape list for CI smoke.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,7 +20,6 @@
 #include "nn/matrix.h"
 #include "obs/json.h"
 #include "par/pool.h"
-#include "util/aligned.h"
 #include "util/args.h"
 #include "util/rng.h"
 
@@ -82,40 +80,6 @@ json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
   return entry;
 }
 
-json::Object bench_knn_lb(std::size_t rows, std::size_t dim, double min_ms,
-                          util::Rng& rng) {
-  std::vector<std::uint8_t, util::AlignedAllocator<std::uint8_t>> codes(
-      rows * dim);
-  std::vector<float> query(dim), scale(dim), offset(dim), half(dim),
-      lb(rows);
-  for (auto& c : codes) c = static_cast<std::uint8_t>(rng.range(0, 255));
-  for (std::size_t c = 0; c < dim; ++c) {
-    query[c] = static_cast<float>(rng.normal());
-    scale[c] = 0.01f;
-    offset[c] = -1.0f;
-    half[c] = 0.005f;
-  }
-  const auto [wall_ms, reps] = measure(min_ms, [&] {
-    kern::knn_lower_bounds(codes.data(), rows, dim, query.data(),
-                           scale.data(), offset.data(), half.data(),
-                           lb.data());
-  });
-  const double total_rows =
-      static_cast<double>(rows) * static_cast<double>(reps);
-  json::Object entry;
-  entry["rows"] = rows;
-  entry["dim"] = dim;
-  entry["reps"] = reps;
-  entry["wall_ms"] = wall_ms;
-  entry["mrows_per_s"] =
-      wall_ms > 0.0 ? total_rows / (wall_ms * 1e3) : 0.0;
-  entry["gbytes_per_s"] =
-      wall_ms > 0.0
-          ? total_rows * static_cast<double>(dim) / (wall_ms * 1e6)
-          : 0.0;
-  return entry;
-}
-
 int run(const util::ArgParser& args) {
   par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
   const bool quick = args.get_flag("quick");
@@ -141,8 +105,6 @@ int run(const util::ArgParser& args) {
     for (const Shape& shape : shapes)
       gemm.emplace_back(bench_gemm(shape, min_ms, rng));
     section["gemm"] = std::move(gemm);
-    section["knn_lb"] =
-        bench_knn_lb(quick ? 1024 : 4096, 64, min_ms, rng);
     paths.emplace_back(std::move(section));
   }
 
@@ -159,9 +121,8 @@ int run(const util::ArgParser& args) {
     double best = 0.0;
     for (const json::Value& entry : section.at("gemm").as_array())
       best = std::max(best, entry.at("gflops").as_number());
-    std::printf("%-7s peak %.2f GFLOP/s, knn_lb %.1f Mrows/s\n",
-                section.at("path").as_string().c_str(), best,
-                section.at("knn_lb").at("mrows_per_s").as_number());
+    std::printf("%-7s peak %.2f GFLOP/s\n",
+                section.at("path").as_string().c_str(), best);
   }
   std::printf("wrote %s\n", args.get("out").c_str());
   return 0;
