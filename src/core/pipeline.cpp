@@ -104,6 +104,7 @@ FriendSeekerResult FriendSeeker::run(
   if (train_pairs.empty() || test_pairs.empty())
     throw std::invalid_argument("FriendSeeker::run: empty pair lists");
 
+  runtime::pin_heap_policy();
   runtime::ExecutionContext* const ctx = config_.context;
   obs::Span run_span("core.pipeline.run");
 

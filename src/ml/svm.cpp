@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -149,6 +151,35 @@ void SvmClassifier::fit(const nn::Matrix& features,
     return f;
   };
 
+  // Certified error cache. cache[k] tracks Σ_j α_j y_j K(k, j) and is
+  // refreshed in O(n) after each accepted pair update, so the cached error
+  // of row k is (cache[k] + b) − y_k. It only ever *decides* a branch when
+  // the answer is certain: `drift` bounds |cache[k] − the real sum| over
+  // all k, and `scan_rounding` bounds how far decision_i's own sequential
+  // sum can sit from that real sum (γ_{n+2}·Σ|terms|, with K ∈ [0, 1] and
+  // |α| ≤ alpha_max). Any branch that lands inside twice those bounds runs
+  // the exact scan instead, so every branch — and therefore the alphas,
+  // the bias and the RNG stream — equals the scan-every-row solver's.
+  constexpr double u = std::numeric_limits<double>::epsilon() / 2.0;
+  const double terms = static_cast<double>(n) + 2.0;
+  const double gamma_scan = terms * u / (1.0 - terms * u);
+  std::vector<double> cache(n, 0.0);
+  double drift = 0.0;            // ≥ |cache[k] − Σ_j α_j y_j K(k, j)|, all k
+  double alpha_max = config_.c;  // ≥ max_j |α_j| (rounding may pass C)
+  std::size_t exact_scans = 0;
+  std::size_t cache_decided = 0;
+  auto exact_error = [&](std::size_t k) {
+    ++exact_scans;
+    return decision_i(k) - y[k];
+  };
+  // Bound on |cached error − exact error| for row k, including the
+  // rounding of both subtractions of y_k.
+  auto cache_radius = [&](double f) {
+    const double scan_rounding =
+        gamma_scan * (std::abs(b) + static_cast<double>(n) * alpha_max);
+    return drift + scan_rounding + 4.0 * u * (std::abs(f) + 1.0);
+  };
+
   const double C = config_.c;
   const double tol = config_.tolerance;
   int passes = 0;
@@ -164,16 +195,28 @@ void SvmClassifier::fit(const nn::Matrix& features,
       if (config_.context->deadline_expired()) break;
     }
     obs::Span pass_span("ml.svm.pass");
+    const std::size_t scans_before = exact_scans;
     int changed = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double e_i = decision_i(i) - y[i];
+      // KKT test: from the cache when y·e sits clearly off both ±tol
+      // thresholds, from the exact scan otherwise.
+      const double f_i = cache[i] + b;
+      const double rad_i = cache_radius(f_i);
+      double e_i = f_i - y[i];
+      bool e_i_exact = false;
+      const double r = y[i] * e_i;
+      if (std::abs(r + tol) > 2.0 * rad_i && std::abs(r - tol) > 2.0 * rad_i) {
+        ++cache_decided;
+      } else {
+        e_i = exact_error(i);
+        e_i_exact = true;
+      }
       const bool violates = (y[i] * e_i < -tol && alpha[i] < C) ||
                             (y[i] * e_i > tol && alpha[i] > 0.0);
       if (!violates) continue;
 
       std::size_t j = rng.index(n - 1);
       if (j >= i) ++j;  // j != i, uniform over the rest
-      const double e_j = decision_i(j) - y[j];
 
       const double alpha_i_old = alpha[i];
       const double alpha_j_old = alpha[j];
@@ -190,6 +233,27 @@ void SvmClassifier::fit(const nn::Matrix& features,
 
       const double eta = 2.0 * K(i, j) - K(i, i) - K(j, j);
       if (eta >= 0.0) continue;
+
+      // Small-step test: clamp the interval of α_j's new value that the
+      // cached errors allow; when all of it lies within half the 1e-5
+      // threshold of α_j_old, the exact step would be rejected too.
+      {
+        const double f_j = cache[j] + b;
+        const double rad = (e_i_exact ? 0.0 : rad_i) + cache_radius(f_j);
+        const double step = (e_i - (f_j - y[j])) / eta;
+        const double center = alpha_j_old - y[j] * step;
+        const double spread = 2.0 * rad / -eta +
+                              8.0 * u * (std::abs(step) + std::abs(center));
+        const double at_lo = std::clamp(center - spread, lo, hi);
+        const double at_hi = std::clamp(center + spread, lo, hi);
+        if (std::abs(at_lo - alpha_j_old) < 0.5e-5 &&
+            std::abs(at_hi - alpha_j_old) < 0.5e-5) {
+          ++cache_decided;
+          continue;
+        }
+      }
+      if (!e_i_exact) e_i = exact_error(i);
+      const double e_j = exact_error(j);
 
       double alpha_j_new = alpha_j_old - y[j] * (e_i - e_j) / eta;
       alpha_j_new = std::clamp(alpha_j_new, lo, hi);
@@ -208,10 +272,27 @@ void SvmClassifier::fit(const nn::Matrix& features,
       else if (alpha_j_new > 0.0 && alpha_j_new < C) b = b2;
       else b = (b1 + b2) / 2.0;
 
+      // Cache refresh from the two contiguous rows (K is symmetric). Each
+      // entry takes at most 4u·(|Δi| + |Δj|) + u·|cache[k]| of rounding,
+      // and |cache[k]| ≤ n·alpha_max + drift because K ∈ [0, 1].
+      const double delta_i = y[i] * (alpha_i_new - alpha_i_old);
+      const double delta_j = y[j] * (alpha_j_new - alpha_j_old);
+      const double* k_i = K.row(i);
+      const double* k_j = K.row(j);
+      for (std::size_t k = 0; k < n; ++k)
+        cache[k] += delta_i * k_i[k] + delta_j * k_j[k];
+      alpha_max = std::max(
+          {alpha_max, std::abs(alpha_i_new), std::abs(alpha_j_new)});
+      drift += 5.0 * u *
+               (static_cast<double>(n) * alpha_max + drift +
+                std::abs(delta_i) + std::abs(delta_j));
+
       ++changed;
     }
     passes = changed == 0 ? passes + 1 : 0;
     pass_span.arg("changed", static_cast<double>(changed));
+    pass_span.arg("exact_scans",
+                  static_cast<double>(exact_scans - scans_before));
     total_alpha_updates += static_cast<std::size_t>(changed);
     ++total_sweeps;
   }
@@ -223,6 +304,14 @@ void SvmClassifier::fit(const nn::Matrix& features,
       .counter("ml.svm.alpha_updates_total", {},
                "SMO alpha-pair updates applied")
       .add(total_alpha_updates);
+  obs::metrics()
+      .counter("ml.svm.exact_scans_total", {},
+               "SMO exact decision scans over a kernel row")
+      .add(exact_scans);
+  obs::metrics()
+      .counter("ml.svm.cache_decided_total", {},
+               "SMO KKT and step tests settled by the certified error cache")
+      .add(cache_decided);
 
   // Keep only support vectors.
   std::vector<std::size_t> sv;
@@ -371,7 +460,10 @@ SvmClassifier SvmClassifier::load(util::BinaryReader& reader) {
   const std::size_t cols = reader.u64();
   const std::vector<double> flat = reader.f64_vector();
   svm.alpha_y_ = reader.f64_vector();
-  if (flat.size() != rows * cols || svm.alpha_y_.size() != rows)
+  // rows * cols can wrap; a wrapped product would pass the size check and
+  // leave a matrix with a huge shape and no storage behind it.
+  if ((cols != 0 && rows > SIZE_MAX / cols) || flat.size() != rows * cols ||
+      svm.alpha_y_.size() != rows)
     throw std::runtime_error("SvmClassifier::load: corrupted record");
   svm.support_ = nn::Matrix(rows, cols);
   std::copy(flat.begin(), flat.end(), svm.support_.data());

@@ -5,6 +5,24 @@
 // The solver is Platt's SMO in its simplified two-heuristic form with a
 // precomputed kernel matrix; training sets in this repo stay in the low
 // thousands, where this is fast and exact enough.
+//
+// Each sweep needs every row's error e_k = f(x_k) − y_k. The defining
+// value is the exact scan: b plus the sequential O(n) sum of α_j y_j K(k, j)
+// over one kernel row. fit() keeps a certified error cache instead of
+// rescanning every row: cache[k] approximates that sum and is refreshed in
+// O(n) from the two kernel rows of each accepted pair update. Two bounds
+// run alongside it:
+//   - cache drift: each refresh adds at most 5u·(n·max|α| + drift +
+//     |Δα_i| + |Δα_j|) to |cache[k] − real sum|, with u the unit roundoff;
+//   - scan rounding: the exact scan sits within γ_{n+2}·(|b| + n·max|α|)
+//     of the real sum, because K ∈ [0, 1].
+// A KKT test is settled from the cache only when y·e lies more than twice
+// the summed bounds away from both ±tol. A violator's step is skipped from
+// the cache only when the whole clamped interval of α_j's new value lies
+// within half the 1e-5 step threshold of α_j's old value. Every other
+// branch, and every state change, runs the exact scan, so each branch
+// equals the scan-every-row solver's: alphas, bias and sweep counts are
+// bit-identical to it.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "kern/kern.h"
@@ -88,7 +89,9 @@ Dense Dense::load(util::BinaryReader& reader) {
   const auto act = static_cast<Activation>(reader.u64());
   const std::vector<double> flat = reader.f64_vector();
   std::vector<double> bias = reader.f64_vector();
-  if (flat.size() != rows * cols || bias.size() != rows)
+  // rows * cols can wrap; reject the shape before trusting the product.
+  if ((cols != 0 && rows > SIZE_MAX / cols) || flat.size() != rows * cols ||
+      bias.size() != rows)
     throw std::runtime_error("Dense::load: corrupted record");
   Matrix weights(rows, cols);
   std::copy(flat.begin(), flat.end(), weights.data());

@@ -8,6 +8,10 @@
 #include <sstream>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace fs::runtime {
 
 // ---- Cancellation ------------------------------------------------------
@@ -36,6 +40,15 @@ void install_signal_handlers() {
 
 int last_signal() noexcept {
   return g_last_signal.load(std::memory_order_relaxed);
+}
+
+// ---- Heap policy -------------------------------------------------------
+
+void pin_heap_policy() {
+#if defined(__GLIBC__)
+  static const int pinned = mallopt(M_MMAP_THRESHOLD, 1 << 20);
+  (void)pinned;
+#endif
 }
 
 // ---- Deadline ----------------------------------------------------------

@@ -59,6 +59,16 @@ void install_signal_handlers();
 /// The last signal routed to the global token (0 = none).
 int last_signal() noexcept;
 
+// ---- Heap policy -------------------------------------------------------
+
+/// Fixes glibc's mmap threshold at 1 MiB, so every block that large is
+/// mapped when allocated and unmapped when freed. By default glibc raises
+/// the threshold to the size of each large block freed; blocks of that size
+/// then come from the heap arenas and stay resident as fragments, and which
+/// arena keeps them depends on thread timing, so a run's peak RSS varies
+/// from one run to the next. Idempotent; a no-op without glibc.
+void pin_heap_policy();
+
 // ---- Deadlines ---------------------------------------------------------
 
 /// Wall-clock deadline on the steady clock.

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "ml/knn.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "ml/split.h"
 #include "ml/svm.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace fs::ml {
@@ -267,6 +271,284 @@ TEST(Svm, GammaAutoIsPositive) {
   SvmClassifier svm;
   svm.fit(x, y);
   EXPECT_GT(svm.gamma(), 0.0);
+}
+
+// ---------- SVM exact-trajectory oracle ----------
+//
+// The scan-every-row SMO that SvmClassifier::fit replaced: every KKT test
+// and every partner error comes from a full O(n) decision scan. The
+// certified error cache may skip a scan only when the skipped branch is
+// certain, so the library fit must follow this trajectory bit for bit.
+
+double oracle_dot(const double* x, const double* y, std::size_t dim) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) acc += x[i] * y[i];
+  return acc;
+}
+
+struct OracleSvm {
+  double gamma = 0.0;
+  double bias = 0.0;
+  nn::Matrix support;
+  std::vector<double> norms;  // ‖support row‖²
+  std::vector<double> alpha_y;
+  std::uint64_t sweeps = 0;
+  std::uint64_t updates = 0;
+
+  // Mirrors SvmClassifier::decision(const double*).
+  double decision(const double* q) const {
+    const std::size_t dim = support.cols();
+    const double qn = oracle_dot(q, q, dim);
+    double f = bias;
+    for (std::size_t s = 0; s < support.rows(); ++s) {
+      const double dist =
+          norms[s] + qn - 2.0 * oracle_dot(support.row(s), q, dim);
+      f += alpha_y[s] * std::exp(-gamma * (dist > 0.0 ? dist : 0.0));
+    }
+    return f;
+  }
+};
+
+OracleSvm oracle_fit(const nn::Matrix& x, const std::vector<int>& labels,
+                     const SvmConfig& cfg) {
+  const std::size_t n = x.rows();
+  const std::size_t dim = x.cols();
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = labels[i] != 0 ? 1.0 : -1.0;
+
+  OracleSvm out;
+  if (cfg.gamma > 0.0) {
+    out.gamma = cfg.gamma;
+  } else {
+    double mean_var = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      double mean = 0.0, sq = 0.0;
+      for (std::size_t r = 0; r < n; ++r) mean += x(r, c);
+      mean /= static_cast<double>(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double d = x(r, c) - mean;
+        sq += d * d;
+      }
+      mean_var += sq / static_cast<double>(n);
+    }
+    mean_var /= static_cast<double>(dim);
+    out.gamma = mean_var > 1e-12 ? 1.0 / (static_cast<double>(dim) * mean_var)
+                                 : 1.0 / static_cast<double>(dim);
+  }
+
+  std::vector<double> norms(n);
+  for (std::size_t i = 0; i < n; ++i)
+    norms[i] = oracle_dot(x.row(i), x.row(i), dim);
+  nn::Matrix K(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    K(i, i) = 1.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dist =
+          norms[i] + norms[j] - 2.0 * oracle_dot(x.row(i), x.row(j), dim);
+      K(i, j) = K(j, i) = std::exp(-out.gamma * (dist > 0.0 ? dist : 0.0));
+    }
+  }
+
+  std::vector<double> alpha(n, 0.0);
+  double b = 0.0;
+  util::Rng rng(cfg.seed);
+  auto decision_i = [&](std::size_t i) {
+    double f = b;
+    for (std::size_t j = 0; j < n; ++j)
+      if (alpha[j] != 0.0) f += alpha[j] * y[j] * K(i, j);
+    return f;
+  };
+  const double C = cfg.c;
+  const double tol = cfg.tolerance;
+  int passes = 0;
+  int iterations = 0;
+  while (passes < cfg.max_passes && iterations++ < cfg.max_iterations) {
+    int changed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double e_i = decision_i(i) - y[i];
+      const bool violates = (y[i] * e_i < -tol && alpha[i] < C) ||
+                            (y[i] * e_i > tol && alpha[i] > 0.0);
+      if (!violates) continue;
+      std::size_t j = rng.index(n - 1);
+      if (j >= i) ++j;
+      const double e_j = decision_i(j) - y[j];
+      const double alpha_i_old = alpha[i];
+      const double alpha_j_old = alpha[j];
+      double lo, hi;
+      if (y[i] != y[j]) {
+        lo = std::max(0.0, alpha[j] - alpha[i]);
+        hi = std::min(C, C + alpha[j] - alpha[i]);
+      } else {
+        lo = std::max(0.0, alpha[i] + alpha[j] - C);
+        hi = std::min(C, alpha[i] + alpha[j]);
+      }
+      if (lo >= hi) continue;
+      const double eta = 2.0 * K(i, j) - K(i, i) - K(j, j);
+      if (eta >= 0.0) continue;
+      double alpha_j_new = alpha_j_old - y[j] * (e_i - e_j) / eta;
+      alpha_j_new = std::clamp(alpha_j_new, lo, hi);
+      if (std::abs(alpha_j_new - alpha_j_old) < 1e-5) continue;
+      const double alpha_i_new =
+          alpha_i_old + y[i] * y[j] * (alpha_j_old - alpha_j_new);
+      alpha[i] = alpha_i_new;
+      alpha[j] = alpha_j_new;
+      const double b1 = b - e_i - y[i] * (alpha_i_new - alpha_i_old) * K(i, i) -
+                        y[j] * (alpha_j_new - alpha_j_old) * K(i, j);
+      const double b2 = b - e_j - y[i] * (alpha_i_new - alpha_i_old) * K(i, j) -
+                        y[j] * (alpha_j_new - alpha_j_old) * K(j, j);
+      if (alpha_i_new > 0.0 && alpha_i_new < C) b = b1;
+      else if (alpha_j_new > 0.0 && alpha_j_new < C) b = b2;
+      else b = (b1 + b2) / 2.0;
+      ++changed;
+    }
+    passes = changed == 0 ? passes + 1 : 0;
+    out.updates += static_cast<std::uint64_t>(changed);
+    ++out.sweeps;
+  }
+
+  std::vector<std::size_t> sv;
+  for (std::size_t i = 0; i < n; ++i)
+    if (alpha[i] > 1e-8) sv.push_back(i);
+  out.support = x.gather_rows(sv);
+  for (std::size_t s : sv) out.alpha_y.push_back(alpha[s] * y[s]);
+  out.norms.resize(sv.size());
+  for (std::size_t s = 0; s < sv.size(); ++s)
+    out.norms[s] = oracle_dot(out.support.row(s), out.support.row(s), dim);
+  out.bias = b;
+  return out;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::metrics().counter(name).value();
+}
+
+// Fits both solvers and requires the same trajectory: bitwise-equal
+// decision values on the training rows, the same support set size, and
+// the same sweep and alpha-update counts.
+void expect_oracle_trajectory(const nn::Matrix& x, const std::vector<int>& y,
+                              const SvmConfig& cfg) {
+  const OracleSvm oracle = oracle_fit(x, y, cfg);
+  const std::uint64_t sweeps0 = counter_value("ml.svm.passes_total");
+  const std::uint64_t updates0 = counter_value("ml.svm.alpha_updates_total");
+  SvmClassifier svm(cfg);
+  svm.fit(x, y);
+  EXPECT_EQ(counter_value("ml.svm.passes_total") - sweeps0, oracle.sweeps);
+  EXPECT_EQ(counter_value("ml.svm.alpha_updates_total") - updates0,
+            oracle.updates);
+  EXPECT_EQ(svm.support_vector_count(), oracle.support.rows());
+  const std::vector<double> got = svm.decision(x);
+  std::vector<double> want(x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    want[r] = oracle.decision(x.row(r));
+  EXPECT_EQ(
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+      << "decision values differ from the scan-every-row solver (n="
+      << x.rows() << ", C=" << cfg.c << ", tol=" << cfg.tolerance
+      << ", gamma=" << cfg.gamma << ")";
+}
+
+TEST(SvmOracle, TwoRows) {
+  nn::Matrix x(2, 2);
+  x(0, 0) = 0.0;
+  x(1, 0) = 1.0;
+  expect_oracle_trajectory(x, {0, 1}, SvmConfig{});
+}
+
+TEST(SvmOracle, DuplicateRowsGiveZeroEta) {
+  // Identical rows with either label: every such pair has eta = 0.
+  util::Rng rng(211);
+  nn::Matrix base;
+  std::vector<int> base_y;
+  blobs_2d(base, base_y, 20, rng, 1.0);
+  nn::Matrix x(60, 2);
+  std::vector<int> y(60);
+  for (std::size_t i = 0; i < 60; ++i) {
+    x(i, 0) = base(i % 20, 0);
+    x(i, 1) = base(i % 20, 1);
+    y[i] = i < 40 ? base_y[i % 20] : 1 - base_y[i % 20];
+  }
+  expect_oracle_trajectory(x, y, SvmConfig{});
+}
+
+TEST(SvmOracle, BoxAndToleranceGrid) {
+  util::Rng rng(223);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 90, rng, 1.0);  // overlapping classes: bounded alphas
+  for (double c : {1e-3, 1.0, 1e3}) {
+    for (double tol : {0.0, 1e-3, 0.5}) {
+      SvmConfig cfg;
+      cfg.c = c;
+      cfg.tolerance = tol;
+      expect_oracle_trajectory(x, y, cfg);
+    }
+  }
+}
+
+TEST(SvmOracle, ExtremeGamma) {
+  util::Rng rng(227);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 70, rng, 1.5);
+  for (double gamma : {1e-9, 1e6}) {  // K ≈ all-ones, K ≈ identity
+    SvmConfig cfg;
+    cfg.gamma = gamma;
+    expect_oracle_trajectory(x, y, cfg);
+  }
+}
+
+TEST(SvmOracle, SingleMinorityRow) {
+  util::Rng rng(229);
+  nn::Matrix x(50, 3);
+  std::vector<int> y(50, 0);
+  y[17] = 1;
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal(0.0, 1.0);
+  expect_oracle_trajectory(x, y, SvmConfig{});
+}
+
+TEST(SvmOracle, IterationCapMidTrajectory) {
+  util::Rng rng(233);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 120, rng, 0.8);
+  SvmConfig cfg;
+  cfg.max_iterations = 3;
+  expect_oracle_trajectory(x, y, cfg);
+}
+
+// Tall and wide enough that the gamma, row-norm and kernel fills each split
+// into several fs::par chunks; the serial oracle pins the pooled result.
+TEST(SvmOracle, ParallelFillsMatchSerialOracle) {
+  util::Rng rng(241);
+  const std::size_t n = 600, dim = 64;
+  nn::Matrix x(n, dim);
+  std::vector<int> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = static_cast<int>(i % 2);
+    for (std::size_t c = 0; c < dim; ++c)
+      x(i, c) = rng.normal(y[i] && c < 8 ? 0.6 : 0.0, 1.0);
+  }
+  SvmConfig cfg;
+  cfg.max_iterations = 20;
+  expect_oracle_trajectory(x, y, cfg);
+}
+
+TEST(SvmOracle, CacheSkipsMostExactScans) {
+  util::Rng rng(239);
+  nn::Matrix x;
+  std::vector<int> y;
+  blobs_2d(x, y, 400, rng, 1.0);
+  const std::uint64_t sweeps0 = counter_value("ml.svm.passes_total");
+  const std::uint64_t scans0 = counter_value("ml.svm.exact_scans_total");
+  const std::uint64_t decided0 = counter_value("ml.svm.cache_decided_total");
+  SvmClassifier svm;
+  svm.fit(x, y);
+  const std::uint64_t sweeps = counter_value("ml.svm.passes_total") - sweeps0;
+  const std::uint64_t scans =
+      counter_value("ml.svm.exact_scans_total") - scans0;
+  ASSERT_GT(sweeps, 0u);
+  EXPECT_LT(scans, sweeps * x.rows() / 2);
+  EXPECT_GT(counter_value("ml.svm.cache_decided_total") - decided0, 0u);
 }
 
 // ---------- split ----------

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "core/presence.h"
@@ -130,6 +131,21 @@ TEST(Serialization, DenseRoundTripPreservesInference) {
   EXPECT_EQ(loaded.activation(), nn::Activation::kTanh);
 }
 
+// rows * cols wraps to 0 for rows = 2, cols = 2^63, so an empty weight
+// vector would satisfy an unguarded size check.
+TEST(Serialization, DenseRejectsWrappingShape) {
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("DNSE");
+  writer.u64(2);
+  writer.u64(std::uint64_t{1} << 63);
+  writer.u64(static_cast<std::uint64_t>(nn::Activation::kIdentity));
+  writer.f64_vector({});
+  writer.f64_vector({0.0, 0.0});
+  util::BinaryReader reader(stream);
+  EXPECT_THROW(nn::Dense::load(reader), std::runtime_error);
+}
+
 TEST(Serialization, MlpRoundTrip) {
   util::Rng rng(5);
   nn::Mlp mlp({3, 8, 2}, nn::Activation::kRelu, nn::Activation::kIdentity,
@@ -240,6 +256,24 @@ TEST(Serialization, SvmRoundTripWithCalibration) {
   const auto after = loaded.predict_proba(x);
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before[i], after[i]);
+}
+
+TEST(Serialization, SvmRejectsWrappingShape) {
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("SVM0");
+  writer.f64(1.0);                    // gamma
+  writer.f64(0.0);                    // bias
+  writer.u64(2);                      // support rows
+  writer.u64(std::uint64_t{1} << 63);  // support cols: 2 * 2^63 wraps to 0
+  writer.f64_vector({});
+  writer.f64_vector({1.0, -1.0});     // alpha_y, one per support row
+  writer.u64(1);
+  writer.u64(0);
+  writer.f64(-1.0);
+  writer.f64(0.0);
+  util::BinaryReader reader(stream);
+  EXPECT_THROW(ml::SvmClassifier::load(reader), std::runtime_error);
 }
 
 // ---------- core ----------
