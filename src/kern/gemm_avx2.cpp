@@ -1,7 +1,8 @@
 // AVX2+FMA path: 4x8 register tile of double (4 rows x two 256-bit
 // columns, 8 ymm accumulators), FMA accumulation in ascending-k order.
-// Compiled with -mavx2 -mfma on x86-64 builds; on any other toolchain the
-// TU degrades to a null vtable and dispatch never selects it.
+// Compiled with -mavx2 -mfma -ffp-contract=off on x86-64 builds (only the
+// intrinsics below fuse); on any other toolchain the TU degrades to a null
+// vtable and dispatch never selects it.
 #include <cstddef>
 
 #include "kern/kern_internal.h"

@@ -1,7 +1,8 @@
 // AVX-512F path: 8x8 register tile of double — one full 512-bit B vector
 // per tile column block, eight zmm accumulators, FMA accumulation in
-// ascending-k order. Compiled with -mavx512f -mfma on x86-64 builds; on
-// any other toolchain the TU degrades to a null vtable.
+// ascending-k order. Compiled with -mavx512f -mfma -ffp-contract=off on
+// x86-64 builds (only the intrinsics below fuse); on any other toolchain
+// the TU degrades to a null vtable.
 #include <cstddef>
 
 #include "kern/kern_internal.h"

@@ -139,17 +139,21 @@ void force_path(IsaPath path) {
 
 namespace detail {
 
-double* pack_scratch_a(std::size_t count) {
+namespace {
+
+/// One thread-local 64-byte-aligned arena per Slot, grown monotonically.
+template <int Slot>
+double* arena(std::size_t count) {
   thread_local std::vector<double, util::AlignedAllocator<double>> buffer;
   if (buffer.size() < count) buffer.resize(count);
   return buffer.data();
 }
 
-double* pack_scratch_b(std::size_t count) {
-  thread_local std::vector<double, util::AlignedAllocator<double>> buffer;
-  if (buffer.size() < count) buffer.resize(count);
-  return buffer.data();
-}
+}  // namespace
+
+double* pack_scratch_a(std::size_t count) { return arena<0>(count); }
+double* pack_scratch_b(std::size_t count) { return arena<1>(count); }
+double* tile_scratch(std::size_t count) { return arena<2>(count); }
 
 }  // namespace detail
 
@@ -159,8 +163,11 @@ void gemm(const GemmCall& call) {
     throw std::invalid_argument("kern::gemm: null output");
   if (call.k != 0 && (call.a == nullptr || call.b == nullptr))
     throw std::invalid_argument("kern::gemm: null operand");
-  if (call.epilogue != Epilogue::kNone && call.bias == nullptr)
+  const bool step = call.epilogue == Epilogue::kSgdStep;
+  if (!step && call.epilogue != Epilogue::kNone && call.bias == nullptr)
     throw std::invalid_argument("kern::gemm: epilogue without bias");
+  if (step && call.accumulate)
+    throw std::invalid_argument("kern::gemm: kSgdStep with accumulate");
   if (call.ldc < call.n)
     throw std::invalid_argument("kern::gemm: ldc < n");
   active_vtable()->gemm(call);

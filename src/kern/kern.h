@@ -1,30 +1,39 @@
 // fs::kern — the compute kernel layer.
 //
 // The pipeline's hot dense products — the autoencoder's forward/backward
-// passes, batch encoding, Gram matrices — all reduce to GEMM. This layer
-// implements it as a cache-blocked, register-tiled kernel with runtime ISA
-// dispatch:
+// passes and SGD steps, batch encoding, Gram matrices — all reduce to
+// GEMM. This layer implements it as a cache-blocked, register-tiled kernel
+// with runtime ISA dispatch:
 //
 //   * GEMM packs A into MR-tall row panels and B into NR-wide column
 //     panels (BLIS-style MC/KC/NC blocking), then drives an MR x NR
 //     micro-kernel of FMA accumulators per ISA path. The three logical
 //     variants (NN, NT, TN) differ only in how the pack routines read the
 //     operands, so all of them share one macro kernel.
-//   * Epilogues (bias add, bias+ReLU/sigmoid/tanh) are fused into the
-//     C-tile writeback, so callers get activated layer outputs in a single
-//     pass instead of re-sweeping the matrix.
+//   * Every call runs one fs::par region over a grid of (row group x
+//     column group) tiles, each packing its own operands. The grid is a
+//     pure function of the shape: with few MC row blocks the column groups
+//     narrow, so a 16-row mini-batch product uses every thread, and a
+//     product too small to repay a fork-join is one tile run inline.
+//   * Epilogues (bias add, bias+ReLU/sigmoid/tanh, and the SGD step
+//     C <- C - lr * A.B) are fused into the C-tile writeback, so callers
+//     get activated layer outputs — or stepped weights — in a single pass
+//     instead of re-sweeping the matrix.
 //
 // Dispatch model: the ISA path (scalar, AVX2, AVX-512) is chosen once, at
 // first use, from CPU capabilities, and can be pinned with FS_KERNEL=
 // scalar|avx2|avx512 for differential testing. Determinism contract: for a
 // FIXED path, every kernel accumulates each output element over k in
 // ascending order with a fixed blocking scheme, and parallel execution
-// (over fs::par, chunked by MC row blocks — never by thread count) assigns
-// every output element to exactly one chunk. An N-thread run is therefore
-// byte-identical to a 1-thread run on the same path. Different paths
-// legitimately differ in low-order bits (FMA vs separate multiply-add,
-// vector-lane epilogue order); the scalar path is the golden reference the
-// parity suite measures the vector paths against.
+// (over fs::par, one chunk per tile of the shape's grid — never derived
+// from the thread count) assigns every output element to exactly one
+// chunk. An N-thread run is therefore byte-identical to a 1-thread run on
+// the same path. Different paths legitimately differ in low-order bits
+// (FMA vs separate multiply-add, vector-lane epilogue order); the scalar
+// path is the golden reference the parity suite measures the vector paths
+// against. Every TU is compiled with -ffp-contract=off, so only the
+// micro-kernels' explicit FMA intrinsics fuse; epilogue arithmetic rounds
+// the same way on every path.
 #pragma once
 
 #include <cstddef>
@@ -67,15 +76,19 @@ void force_path(IsaPath path);
 // ---------------------------------------------------------------------------
 
 /// Fused epilogue applied to C during tile writeback, after the full k
-/// accumulation. Bias is indexed by output column and may be null only for
-/// kNone. Sigmoid/tanh call the same libm routines on every path, so the
-/// epilogue itself never contributes cross-path divergence.
+/// accumulation. Bias is indexed by output column and must be set for the
+/// kBias* epilogues. Sigmoid/tanh call the same libm routines on every
+/// path, so the epilogue itself never contributes cross-path divergence.
 enum class Epilogue {
   kNone = 0,
   kBias,         // c += bias[j]
   kBiasRelu,     // c = max(c + bias[j], 0)
   kBiasSigmoid,  // c = 1 / (1 + exp(-(c + bias[j])))
   kBiasTanh,     // c = tanh(c + bias[j])
+  // c -= lr * g with g = A.B exactly as accumulating into a zeroed buffer
+  // gives it (0.0 + the KC-block sums in ascending order). C is always
+  // read, so `accumulate` must be false.
+  kSgdStep,
 };
 
 /// One GEMM invocation: C (m x n, row-major, leading dimension ldc) gets
@@ -96,6 +109,7 @@ struct GemmCall {
   bool accumulate = false;
   Epilogue epilogue = Epilogue::kNone;
   const double* bias = nullptr;
+  double lr = 0.0;  // kSgdStep's learning rate
 };
 
 /// C = A.B (+C): a is m x k (lda), b is k x n (ldb).
@@ -116,7 +130,8 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t ldc, bool accumulate = false,
              Epilogue epilogue = Epilogue::kNone, const double* bias = nullptr);
 
-/// Raw entry point behind the three wrappers (kernel_bench uses it).
+/// Raw entry point behind the three wrappers; kSgdStep callers
+/// (nn::Dense) and kernel_bench build a GemmCall directly.
 void gemm(const GemmCall& call);
 
 }  // namespace fs::kern

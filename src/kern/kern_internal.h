@@ -3,7 +3,8 @@
 // flags and exposes exactly one symbol: its vtable accessor. Everything
 // else in those TUs lives in anonymous namespaces, so template code
 // instantiated under -mavx2/-mavx512f can never be ODR-merged into the
-// scalar path (which must stay free of FMA contraction).
+// scalar path. All three TUs build with -ffp-contract=off: the only FMAs
+// are the vector micro-kernels' intrinsics.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +23,11 @@ const VTable* vtable_scalar();
 const VTable* vtable_avx2();
 const VTable* vtable_avx512();
 
-/// 64-byte-aligned thread-local pack scratch, grown monotonically. Two
-/// separate arenas because one GEMM holds both an A block and a B block.
+/// 64-byte-aligned thread-local tile scratch, grown monotonically. Separate
+/// arenas because one tile holds an A block, a B block and (for a kSgdStep
+/// with k > KC) its partial gradient sums at once.
 double* pack_scratch_a(std::size_t count);
 double* pack_scratch_b(std::size_t count);
+double* tile_scratch(std::size_t count);
 
 }  // namespace fs::kern::detail

@@ -52,9 +52,7 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
              util::Rng& rng)
     : weights_(Matrix::he_init(out_dim, in_dim, rng)),
       bias_(out_dim, 0.0),
-      activation_(act),
-      grad_weights_(out_dim, in_dim),
-      grad_bias_(out_dim, 0.0) {
+      activation_(act) {
   if (in_dim == 0 || out_dim == 0)
     throw std::invalid_argument("Dense: zero dimension");
 }
@@ -62,9 +60,7 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act,
 Dense::Dense(Matrix weights, std::vector<double> bias, Activation act)
     : weights_(std::move(weights)),
       bias_(std::move(bias)),
-      activation_(act),
-      grad_weights_(weights_.rows(), weights_.cols()),
-      grad_bias_(bias_.size(), 0.0) {
+      activation_(act) {
   if (weights_.rows() != bias_.size())
     throw std::invalid_argument("Dense: weights/bias shape mismatch");
   if (weights_.rows() == 0 || weights_.cols() == 0)
@@ -86,16 +82,18 @@ Dense Dense::load(util::BinaryReader& reader) {
   reader.expect_tag("DNSE");
   const std::size_t rows = reader.u64();
   const std::size_t cols = reader.u64();
-  const auto act = static_cast<Activation>(reader.u64());
+  const std::uint64_t act = reader.u64();
   const std::vector<double> flat = reader.f64_vector();
   std::vector<double> bias = reader.f64_vector();
   // rows * cols can wrap; reject the shape before trusting the product.
   if ((cols != 0 && rows > SIZE_MAX / cols) || flat.size() != rows * cols ||
-      bias.size() != rows)
+      bias.size() != rows ||
+      act > static_cast<std::uint64_t>(Activation::kTanh))
     throw std::runtime_error("Dense::load: corrupted record");
   Matrix weights(rows, cols);
   std::copy(flat.begin(), flat.end(), weights.data());
-  return Dense(std::move(weights), std::move(bias), act);
+  return Dense(std::move(weights), std::move(bias),
+               static_cast<Activation>(act));
 }
 
 const Matrix& Dense::forward(const Matrix& input) {
@@ -123,42 +121,40 @@ Matrix Dense::infer(const Matrix& input) const {
   return out;
 }
 
-void Dense::backward_into(const Matrix& d_output, Matrix* d_input) {
+void Dense::backward_step(const Matrix& d_output, double learning_rate,
+                          Matrix* d_input) {
   if (cached_output_.rows() != d_output.rows() ||
       cached_output_.cols() != d_output.cols())
-    throw std::logic_error("Dense::backward: no matching forward cache");
+    throw std::logic_error("Dense::backward_step: no matching forward cache");
   // dPre = dOut ∘ act'(out)
   d_pre_ = d_output;
   for (std::size_t i = 0; i < d_pre_.size(); ++i)
     d_pre_.data()[i] *=
         activation_grad_from_output(activation_, cached_output_.data()[i]);
-  // Parameter gradients accumulate directly inside the kernel (C += A^T B)
-  // — no temporary gradient matrix, no second pass.
-  matmul_tn_into(d_pre_, cached_input_, grad_weights_, /*accumulate=*/true);
-  for (std::size_t r = 0; r < d_pre_.rows(); ++r)
-    for (std::size_t c = 0; c < d_pre_.cols(); ++c)
-      grad_bias_[c] += d_pre_(r, c);
-  // dInput = dPre * W — skipped when nobody reads it (bottom layers).
+  // dInput = dPre * W from the pre-step W — skipped when nobody reads it
+  // (bottom layers).
   if (d_input != nullptr) matmul_nn_into(d_pre_, weights_, *d_input);
-}
-
-Matrix Dense::backward(const Matrix& d_output) {
-  Matrix d_input;
-  backward_into(d_output, &d_input);
-  return d_input;
-}
-
-void Dense::apply_gradients(double learning_rate) {
-  for (std::size_t i = 0; i < weights_.size(); ++i)
-    weights_.data()[i] -= learning_rate * grad_weights_.data()[i];
-  for (std::size_t c = 0; c < bias_.size(); ++c)
-    bias_[c] -= learning_rate * grad_bias_[c];
-  clear_gradients();
-}
-
-void Dense::clear_gradients() {
-  grad_weights_.fill(0.0);
-  grad_bias_.assign(grad_bias_.size(), 0.0);
+  // W -= lr * dPre^T X in one kernel call: the gradient never leaves the
+  // tile that computes it.
+  kern::GemmCall step;
+  step.m = out_dim();
+  step.n = in_dim();
+  step.k = d_pre_.rows();
+  step.a = d_pre_.data();
+  step.lda = d_pre_.cols();
+  step.a_trans = true;
+  step.b = cached_input_.data();
+  step.ldb = cached_input_.cols();
+  step.c = weights_.data();
+  step.ldc = weights_.cols();
+  step.epilogue = kern::Epilogue::kSgdStep;
+  step.lr = learning_rate;
+  kern::gemm(step);
+  for (std::size_t c = 0; c < bias_.size(); ++c) {
+    double grad = 0.0;
+    for (std::size_t r = 0; r < d_pre_.rows(); ++r) grad += d_pre_(r, c);
+    bias_[c] -= learning_rate * grad;
+  }
 }
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, Activation hidden,
@@ -200,7 +196,7 @@ Mlp Mlp::load(util::BinaryReader& reader) {
 
 const Matrix& Mlp::forward(const Matrix& input) {
   // Activations chain through each layer's cache; no intermediate copies
-  // beyond the per-layer input cache backward() needs anyway.
+  // beyond the per-layer input cache backward_step() needs anyway.
   const Matrix* current = &input;
   for (Dense& layer : layers_) current = &layer.forward(*current);
   return *current;
@@ -212,23 +208,17 @@ Matrix Mlp::infer(const Matrix& input) const {
   return current;
 }
 
-const Matrix& Mlp::backward(const Matrix& d_output, bool need_input_grad) {
+const Matrix& Mlp::backward_step(const Matrix& d_output, double learning_rate,
+                                 bool need_input_grad) {
   if (!need_input_grad) d_input_[0].resize(0, 0);  // never return stale bits
   const Matrix* current = &d_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     const bool need = i > 0 || need_input_grad;
-    layers_[i].backward_into(*current, need ? &d_input_[i] : nullptr);
+    layers_[i].backward_step(*current, learning_rate,
+                             need ? &d_input_[i] : nullptr);
     current = &d_input_[i];
   }
   return d_input_[0];
-}
-
-void Mlp::apply_gradients(double learning_rate) {
-  for (Dense& layer : layers_) layer.apply_gradients(learning_rate);
-}
-
-void Mlp::clear_gradients() {
-  for (Dense& layer : layers_) layer.clear_gradients();
 }
 
 }  // namespace fs::nn

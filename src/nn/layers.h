@@ -1,15 +1,18 @@
-// Fully-connected layers and multi-layer perceptrons with explicit
-// gradient accumulation, so Algorithm 1's sequential two-loss update can be
-// expressed faithfully (compute both gradient sets at the forward point,
-// then apply).
+// Fully-connected layers and multi-layer perceptrons trained with plain
+// SGD, one fused backward-and-step per loss, so Algorithm 1's sequential
+// per-batch updates (L_auto step, classifier step, alpha-scaled encoder
+// step) map onto one call each.
 //
 // Hot-path shape: forward runs one fused GEMM (bias + activation applied
 // in the kernel's tile writeback — no second pass over the batch), caches
 // the layer *output*, and derives the activation gradient from it in
-// backward (ReLU: out > 0; sigmoid: s(1-s); tanh: 1-t² — identical values
-// to the pre-activation forms, one cached matrix instead of two). All
-// per-batch buffers are reused members, so steady-state training allocates
-// nothing.
+// backward_step (ReLU: out > 0; sigmoid: s(1-s); tanh: 1-t² — identical
+// values to the pre-activation forms, one cached matrix instead of two).
+// The weight update is one GEMM with the kernel's SGD-step epilogue
+// (W <- W - lr * dPre^T X), so no weight-gradient matrix exists at all;
+// its bits equal accumulating the gradient into a zeroed buffer and then
+// stepping. All per-batch buffers are reused members, so steady-state
+// training allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 
 namespace fs::nn {
 
+// Serialized as its integer value; Dense::load rejects anything past kTanh.
 enum class Activation { kIdentity, kRelu, kSigmoid, kTanh };
 
 /// Applies the activation / its derivative (as a function of the
@@ -39,28 +43,22 @@ class Dense {
   std::size_t out_dim() const { return weights_.rows(); }
   Activation activation() const { return activation_; }
 
-  /// Forward pass; caches input and output for backward(). The returned
-  /// reference is into this layer and stays valid until the next forward.
+  /// Forward pass; caches input and output for backward_step(). The
+  /// returned reference is into this layer and stays valid until the next
+  /// forward.
   const Matrix& forward(const Matrix& input);
 
   /// Forward without caching (inference).
   Matrix infer(const Matrix& input) const;
 
-  /// Accumulates weight/bias gradients from dL/d(output) and returns
-  /// dL/d(input). Requires a preceding forward() on the same batch.
-  Matrix backward(const Matrix& d_output);
-
-  /// backward() with the input gradient written to *d_input (reusing its
-  /// capacity), or skipped entirely when d_input is null — the bottom
-  /// layer of a network whose input gradient nobody reads saves a GEMM.
-  void backward_into(const Matrix& d_output, Matrix* d_input);
-
-  /// SGD step with the accumulated gradients, then clears them.
-  void apply_gradients(double learning_rate);
-
-  /// Drops accumulated gradients without applying (used when a loss term
-  /// must not touch this layer).
-  void clear_gradients();
+  /// Backpropagates dL/d(output) through the cached forward and takes one
+  /// SGD step: W -= lr * dPre^T X, b -= lr * colsum(dPre). dL/d(input) is
+  /// computed from the pre-step W into *d_input (reusing its capacity), or
+  /// skipped entirely when d_input is null — the bottom layer of a network
+  /// whose input gradient nobody reads saves a GEMM. Requires a preceding
+  /// forward() on the same batch; may run again on the same cache.
+  void backward_step(const Matrix& d_output, double learning_rate,
+                     Matrix* d_input);
 
   void save(util::BinaryWriter& writer) const;
   static Dense load(util::BinaryReader& reader);
@@ -73,9 +71,6 @@ class Dense {
   Matrix weights_;  // out_dim x in_dim
   std::vector<double> bias_;
   Activation activation_;
-
-  Matrix grad_weights_;
-  std::vector<double> grad_bias_;
 
   // Forward caches and backward scratch (all capacity-reusing).
   Matrix cached_input_;
@@ -99,15 +94,15 @@ class Mlp {
   const Matrix& forward(const Matrix& input);
   Matrix infer(const Matrix& input) const;
 
-  /// Backpropagates dL/d(output), accumulating gradients; returns
-  /// dL/d(input) (a reference into this network, valid until the next
-  /// backward). With need_input_grad false the bottom layer's input
-  /// gradient is never computed and the returned matrix is empty.
-  const Matrix& backward(const Matrix& d_output,
-                         bool need_input_grad = true);
-
-  void apply_gradients(double learning_rate);
-  void clear_gradients();
+  /// Backpropagates dL/d(output) top-down, each layer stepping its own
+  /// parameters with `learning_rate` after computing its input gradient
+  /// from the pre-step weights (so the result equals computing every
+  /// gradient first and then applying them all). Returns dL/d(input) (a
+  /// reference into this network, valid until the next backward_step).
+  /// With need_input_grad false the bottom layer's input gradient is never
+  /// computed and the returned matrix is empty.
+  const Matrix& backward_step(const Matrix& d_output, double learning_rate,
+                              bool need_input_grad = true);
 
   std::size_t layer_count() const { return layers_.size(); }
   const Dense& layer(std::size_t i) const { return layers_.at(i); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -44,6 +45,14 @@ SupervisedAutoencoder::SupervisedAutoencoder(const AutoencoderConfig& config)
         if (config.encoder_dims.size() < 2)
           throw std::invalid_argument(
               "SupervisedAutoencoder: encoder_dims needs >= 2 entries");
+        // A zero batch would train on empty batches and surface as a 0/0
+        // "divergence" after every retry.
+        if (config.batch_size == 0)
+          throw std::invalid_argument(
+              "SupervisedAutoencoder: batch_size must be >= 1");
+        if (config.epochs < 0)
+          throw std::invalid_argument(
+              "SupervisedAutoencoder: epochs must be >= 0");
         util::Rng rng(config.seed);
         return make_mlp(config.encoder_dims, Activation::kIdentity, rng);
       }()),
@@ -95,8 +104,13 @@ SupervisedAutoencoder SupervisedAutoencoder::load(
   for (std::size_t& d : cfg.classifier_hidden) d = reader.u64();
   cfg.learning_rate = reader.f64();
   cfg.alpha = reader.f64();
-  cfg.epochs = static_cast<int>(reader.i64());
+  const std::int64_t epochs = reader.i64();
   cfg.batch_size = reader.u64();
+  if (cfg.batch_size == 0 || epochs < 0 ||
+      epochs > std::numeric_limits<int>::max())
+    throw std::runtime_error(
+        "SupervisedAutoencoder::load: corrupted record (batch_size/epochs)");
+  cfg.epochs = static_cast<int>(epochs);
   cfg.seed = reader.u64();
   cfg.mean_reconstruction_loss = reader.u64() != 0;
   cfg.gradient_clip = reader.f64();
@@ -242,12 +256,14 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
       d_recon *= 2.0 / n * elem_norm;
       if (want_grad_norm) grad_sq += squared_sum(d_recon);
       clip_elements(d_recon, config_.gradient_clip);
-      const Matrix& d_code_auto = decoder_.backward(d_recon);
-      // Nothing reads dL/dx, so the encoder's bottom input-gradient GEMM
-      // is skipped outright.
-      encoder_.backward(d_code_auto, /*need_input_grad=*/false);
-      decoder_.apply_gradients(learning_rate);
-      encoder_.apply_gradients(learning_rate);
+      // The decoder's code gradient comes from its pre-step weights, so
+      // stepping each network as it backpropagates equals Algorithm 1's
+      // compute-then-apply. Nothing reads dL/dx, so the encoder's bottom
+      // input-gradient GEMM is skipped outright.
+      const Matrix& d_code_auto =
+          decoder_.backward_step(d_recon, learning_rate);
+      encoder_.backward_step(d_code_auto, learning_rate,
+                             /*need_input_grad=*/false);
 
       // ---- L_cla step for the classifier (lines 15-18). ----
       // The head emits a logit; BCE-after-sigmoid gives the stable gradient
@@ -265,12 +281,14 @@ std::vector<EpochStats> SupervisedAutoencoder::train_once(
       stats.classification_loss += batch_cla_loss;
       if (want_grad_norm) grad_sq += squared_sum(d_logit);
       clip_elements(d_logit, config_.gradient_clip);
-      const Matrix& d_code_cla = classifier_.backward(d_logit);
-      classifier_.apply_gradients(learning_rate);
+      const Matrix& d_code_cla =
+          classifier_.backward_step(d_logit, learning_rate);
 
       // ---- L_cla step for the encoder with alpha*beta (lines 19-22). ----
-      encoder_.backward(d_code_cla, /*need_input_grad=*/false);
-      encoder_.apply_gradients(config_.alpha * learning_rate);
+      // Backpropagates through the batch's forward caches and the
+      // post-L_auto encoder weights.
+      encoder_.backward_step(d_code_cla, config_.alpha * learning_rate,
+                             /*need_input_grad=*/false);
 
       if (!std::isfinite(batch_recon_loss) || !std::isfinite(batch_cla_loss))
         throw NumericError(

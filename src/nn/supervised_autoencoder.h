@@ -29,8 +29,8 @@ struct AutoencoderConfig {
 
   double learning_rate = 0.005;  // paper's beta
   double alpha = 1.0;            // loss balance weight
-  int epochs = 20;               // paper's m
-  std::size_t batch_size = 16;   // paper's n
+  int epochs = 20;               // paper's m; >= 0
+  std::size_t batch_size = 16;   // paper's n; >= 1
   std::uint64_t seed = 7;
 
   /// The paper's L_auto sums squared error over all cuboid cells; we use the
@@ -73,6 +73,8 @@ struct EpochStats {
 /// Joint autoencoder + classifier (the paper's A and C).
 class SupervisedAutoencoder {
  public:
+  /// Throws std::invalid_argument for fewer than 2 encoder dims, a zero
+  /// batch_size or negative epochs.
   explicit SupervisedAutoencoder(const AutoencoderConfig& config);
 
   /// Trains on JOC rows `inputs` (one flattened cuboid per row) with binary

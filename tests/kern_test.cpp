@@ -42,6 +42,9 @@ double ref_epilogue(Epilogue epilogue, double v, double bias) {
     case Epilogue::kBiasTanh:
       v += bias;
       return std::tanh(v);
+    case Epilogue::kSgdStep:
+      ADD_FAILURE() << "kSgdStep has its own two-pass reference";
+      return v;
   }
   return v;
 }
@@ -242,24 +245,82 @@ TEST(KernGemm, KZeroDegeneratesToEpilogueSweep) {
 
 TEST(KernGemm, ThreadCountNeverChangesTheBits) {
   util::Rng rng(4242);
-  const Shape shape{300, 140, 96};  // several MC blocks -> real parallelism
-  const std::vector<double> a = random_values(shape.m * shape.k, rng);
-  const std::vector<double> b = random_values(shape.k * shape.n, rng);
-  for (IsaPath path : supported_paths()) {
-    PathGuard guard(path);
-    std::vector<double> c1(shape.m * shape.n, 0.0);
-    par::set_threads(1);
-    gemm(build_call(shape, kVariants[1], a, b, c1, false));
-    for (std::size_t threads : {2u, 5u}) {
-      par::set_threads(threads);
-      std::vector<double> cn(shape.m * shape.n, 0.0);
-      gemm(build_call(shape, kVariants[1], a, b, cn, false));
-      EXPECT_EQ(0, std::memcmp(c1.data(), cn.data(),
-                               c1.size() * sizeof(double)))
-          << path_name(path) << " threads=" << threads;
+  // Several MC row blocks, plus the skinny mini-batch shapes whose
+  // parallelism comes only from column groups (k spans two KC blocks).
+  std::vector<Shape> shapes = {{300, 140, 96}};
+  for (std::size_t m : {1u, 16u, 95u})
+    for (std::size_t n : {320u, 1380u}) shapes.push_back({m, n, 300});
+  for (const Shape& shape : shapes) {
+    const std::vector<double> a = random_values(shape.m * shape.k, rng);
+    const std::vector<double> b = random_values(shape.k * shape.n, rng);
+    for (IsaPath path : supported_paths()) {
+      PathGuard guard(path);
+      std::vector<double> c1(shape.m * shape.n, 0.0);
+      par::set_threads(1);
+      gemm(build_call(shape, kVariants[1], a, b, c1, false));
+      for (std::size_t threads : {2u, 5u}) {
+        par::set_threads(threads);
+        std::vector<double> cn(shape.m * shape.n, 0.0);
+        gemm(build_call(shape, kVariants[1], a, b, cn, false));
+        EXPECT_EQ(0, std::memcmp(c1.data(), cn.data(),
+                                 c1.size() * sizeof(double)))
+            << path_name(path) << " threads=" << threads << " m=" << shape.m
+            << " n=" << shape.n;
+      }
+      par::set_threads(0);  // back to the configured default
     }
-    par::set_threads(1);
   }
+}
+
+// The SGD-step epilogue must equal the two-pass update it replaces:
+// accumulate A.B into a zeroed buffer (same path, same blocking), then
+// w -= lr * g as a separate sweep. k = 257 and 600 split the gradient over
+// several KC blocks, whose partial sums live in tile scratch.
+TEST(KernGemm, SgdStepMatchesTwoPassUpdateBitForBit) {
+  util::Rng rng(31337);
+  const double lr = 0.0123;
+  for (std::size_t k : {1u, 16u, 256u, 257u, 600u}) {
+    for (const Shape& mn : {Shape{200, 150, 0}, Shape{48, 320, 0},
+                            Shape{7, 13, 0}}) {
+      const Shape shape{mn.m, mn.n, k};
+      const std::vector<double> a = random_values(shape.m * shape.k, rng);
+      const std::vector<double> b = random_values(shape.k * shape.n, rng);
+      const std::vector<double> w0 = random_values(shape.m * shape.n, rng);
+      for (IsaPath path : supported_paths()) {
+        PathGuard guard(path);
+        for (const Variant& variant : kVariants) {
+          std::vector<double> grad(w0.size(), 0.0);
+          gemm(build_call(shape, variant, a, b, grad, /*accumulate=*/true));
+          std::vector<double> expected = w0;
+          for (std::size_t v = 0; v < expected.size(); ++v)
+            expected[v] -= lr * grad[v];
+
+          std::vector<double> w = w0;
+          GemmCall step = build_call(shape, variant, a, b, w, false,
+                                     Epilogue::kSgdStep);
+          step.lr = lr;
+          gemm(step);
+          EXPECT_EQ(0, std::memcmp(w.data(), expected.data(),
+                                   w.size() * sizeof(double)))
+              << path_name(path) << " " << variant.name << " m=" << shape.m
+              << " n=" << shape.n << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernGemm, SgdStepWithZeroDepthLeavesWeights) {
+  std::vector<double> w = {1.5, -2.0, 0.25};
+  GemmCall step;
+  step.m = 1;
+  step.n = 3;
+  step.c = w.data();
+  step.ldc = 3;
+  step.epilogue = Epilogue::kSgdStep;
+  step.lr = 0.5;
+  gemm(step);
+  EXPECT_EQ(w, (std::vector<double>{1.5, -2.0, 0.25}));
 }
 
 TEST(KernGemm, RejectsMalformedCalls) {
@@ -270,6 +331,10 @@ TEST(KernGemm, RejectsMalformedCalls) {
                std::invalid_argument);
   EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2,
                        false, Epilogue::kBias, nullptr),
+               std::invalid_argument);
+  // The step always reads C, so "accumulate" has no meaning for it.
+  EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2,
+                       true, Epilogue::kSgdStep),
                std::invalid_argument);
 }
 

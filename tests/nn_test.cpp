@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "kern/kern.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/supervised_autoencoder.h"
+#include "par/pool.h"
+#include "util/binary_io.h"
 
 namespace fs::nn {
 namespace {
@@ -153,8 +161,9 @@ TEST_P(DenseGradCheck, BackwardMatchesFiniteDifference) {
   Matrix d_out = y;
   d_out -= target;
   d_out *= 2.0;
-  const Matrix d_in = layer.backward(d_out);
-  layer.clear_gradients();
+  // A zero learning rate leaves W exactly as it was (W - 0 * g == W).
+  Matrix d_in;
+  layer.backward_step(d_out, /*learning_rate=*/0.0, &d_in);
 
   // Finite differences on a few input coordinates.
   const double eps = 1e-6;
@@ -170,14 +179,11 @@ TEST_P(DenseGradCheck, BackwardMatchesFiniteDifference) {
         << "input gradient mismatch at " << i;
   }
 
-  // Finite differences on a few weights, against the accumulated gradient.
-  layer.forward(x);
-  layer.backward(d_out);
-  // Re-derive the analytic weight gradient by probing apply_gradients with
-  // a copy: instead, recompute numerically and compare with accumulated
-  // grads via a unit learning-rate trick.
+  // Finite differences on a few weights, against the analytic gradient
+  // recovered from a unit-learning-rate step on a copy (weights' -= grad).
   Dense probe = layer;
-  probe.apply_gradients(1.0);  // weights' -= grad
+  probe.forward(x);
+  probe.backward_step(d_out, /*learning_rate=*/1.0, nullptr);
   for (std::size_t i = 0; i < 5; ++i) {
     const std::size_t r = i % 3;
     const std::size_t c = (2 * i) % 4;
@@ -216,7 +222,7 @@ TEST(Dense, BackwardWithoutForwardThrows) {
   util::Rng rng(17);
   Dense layer(2, 2, Activation::kIdentity, rng);
   Matrix d(1, 2);
-  EXPECT_THROW(layer.backward(d), std::logic_error);
+  EXPECT_THROW(layer.backward_step(d, 0.1, nullptr), std::logic_error);
 }
 
 TEST(Dense, RejectsZeroDims) {
@@ -258,8 +264,7 @@ TEST(Mlp, LearnsLinearMap) {
     if (epoch == 0) first_loss = loss;
     last_loss = loss;
     d *= 2.0 / 64.0;
-    mlp.backward(d);
-    mlp.apply_gradients(0.05);
+    mlp.backward_step(d, 0.05);
   }
   EXPECT_LT(last_loss, first_loss * 0.05);
 }
@@ -410,6 +415,18 @@ TEST(SupervisedAutoencoder, ValidatesInputs) {
   AutoencoderConfig bad;
   bad.encoder_dims = {12};
   EXPECT_THROW(SupervisedAutoencoder{bad}, std::invalid_argument);
+  // A zero batch used to train on empty batches and report the 0/0 loss
+  // as divergence after every retry.
+  AutoencoderConfig zero_batch = small_ae_config();
+  zero_batch.batch_size = 0;
+  EXPECT_THROW(SupervisedAutoencoder{zero_batch}, std::invalid_argument);
+  AutoencoderConfig negative_epochs = small_ae_config();
+  negative_epochs.epochs = -1;
+  EXPECT_THROW(SupervisedAutoencoder{negative_epochs}, std::invalid_argument);
+  AutoencoderConfig no_epochs = small_ae_config();
+  no_epochs.epochs = 0;
+  SupervisedAutoencoder untrained(no_epochs);
+  EXPECT_TRUE(untrained.train(Matrix(4, 12), {0, 1, 0, 1}).empty());
 }
 
 TEST(SupervisedAutoencoder, DeterministicGivenSeed) {
@@ -425,6 +442,244 @@ TEST(SupervisedAutoencoder, DeterministicGivenSeed) {
   const auto pb = b.predict_proba(x);
   for (std::size_t i = 0; i < pa.size(); ++i)
     EXPECT_DOUBLE_EQ(pa[i], pb[i]);
+}
+
+// ---------- Trajectory oracle ----------
+//
+// A test-local copy of the two-pass training step the fused backward_step
+// replaced: each layer accumulates its weight gradient into a zeroed
+// buffer with its own GEMM, the step w -= lr * g runs as a separate sweep,
+// and the buffer is cleared. The fused kernel step must reproduce the
+// trained networks bit for bit, on every kernel path and thread count.
+
+kern::Epilogue two_pass_epilogue(Activation act) {
+  switch (act) {
+    case Activation::kIdentity: return kern::Epilogue::kBias;
+    case Activation::kRelu: return kern::Epilogue::kBiasRelu;
+    case Activation::kSigmoid: return kern::Epilogue::kBiasSigmoid;
+    case Activation::kTanh: return kern::Epilogue::kBiasTanh;
+  }
+  return kern::Epilogue::kNone;
+}
+
+double two_pass_act_grad(Activation act, double out) {
+  switch (act) {
+    case Activation::kIdentity: return 1.0;
+    case Activation::kRelu: return out > 0.0 ? 1.0 : 0.0;
+    case Activation::kSigmoid: return out * (1.0 - out);
+    case Activation::kTanh: return 1.0 - out * out;
+  }
+  return 0.0;
+}
+
+struct TwoPassLayer {
+  explicit TwoPassLayer(const Dense& init)
+      : w(init.weights()),
+        b(init.bias()),
+        act(init.activation()),
+        grad_w(w.rows(), w.cols()),
+        grad_b(b.size(), 0.0) {}
+
+  const Matrix& forward(const Matrix& x) {
+    in = x;
+    out = Matrix(x.rows(), w.rows());
+    kern::gemm_nt(x.rows(), w.rows(), w.cols(), x.data(), x.cols(),
+                  w.data(), w.cols(), out.data(), w.rows(),
+                  /*accumulate=*/false, two_pass_epilogue(act), b.data());
+    return out;
+  }
+
+  void backward(const Matrix& d_out, Matrix* d_in) {
+    d_pre = d_out;
+    for (std::size_t i = 0; i < d_pre.size(); ++i)
+      d_pre.data()[i] *= two_pass_act_grad(act, out.data()[i]);
+    matmul_tn_into(d_pre, in, grad_w, /*accumulate=*/true);
+    for (std::size_t r = 0; r < d_pre.rows(); ++r)
+      for (std::size_t c = 0; c < d_pre.cols(); ++c) grad_b[c] += d_pre(r, c);
+    if (d_in != nullptr) matmul_nn_into(d_pre, w, *d_in);
+  }
+
+  void apply(double lr) {
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w.data()[i] -= lr * grad_w.data()[i];
+    for (std::size_t c = 0; c < b.size(); ++c) b[c] -= lr * grad_b[c];
+    grad_w.fill(0.0);
+    grad_b.assign(grad_b.size(), 0.0);
+  }
+
+  Matrix w;
+  std::vector<double> b;
+  Activation act;
+  Matrix grad_w;
+  std::vector<double> grad_b;
+  Matrix in, out, d_pre;
+};
+
+struct TwoPassMlp {
+  TwoPassMlp(const std::vector<std::size_t>& dims, util::Rng& rng) {
+    const Mlp init(dims, Activation::kRelu, Activation::kIdentity, rng);
+    for (std::size_t i = 0; i < init.layer_count(); ++i)
+      layers.emplace_back(init.layer(i));
+    d_in.resize(layers.size());
+  }
+
+  const Matrix& forward(const Matrix& x) {
+    const Matrix* current = &x;
+    for (TwoPassLayer& layer : layers) current = &layer.forward(*current);
+    return *current;
+  }
+
+  const Matrix& backward(const Matrix& d_out) {
+    const Matrix* current = &d_out;
+    for (std::size_t i = layers.size(); i-- > 0;) {
+      layers[i].backward(*current, &d_in[i]);
+      current = &d_in[i];
+    }
+    return d_in[0];
+  }
+
+  void apply(double lr) {
+    for (TwoPassLayer& layer : layers) layer.apply(lr);
+  }
+
+  void save(util::BinaryWriter& writer) const {
+    std::vector<Dense> trained;
+    for (const TwoPassLayer& layer : layers)
+      trained.emplace_back(layer.w, layer.b, layer.act);
+    Mlp(std::move(trained)).save(writer);
+  }
+
+  std::vector<TwoPassLayer> layers;
+  std::vector<Matrix> d_in;
+};
+
+/// Algorithm 1 exactly as SupervisedAutoencoder::train runs it, on the
+/// two-pass step; returns the trained model's serialized record.
+std::string two_pass_trained_record(const AutoencoderConfig& cfg,
+                                    const Matrix& inputs,
+                                    const std::vector<int>& labels) {
+  util::Rng encoder_rng(cfg.seed);
+  TwoPassMlp encoder(cfg.encoder_dims, encoder_rng);
+  util::Rng decoder_rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
+  TwoPassMlp decoder({cfg.encoder_dims.rbegin(), cfg.encoder_dims.rend()},
+                     decoder_rng);
+  std::vector<std::size_t> head = {cfg.encoder_dims.back()};
+  head.insert(head.end(), cfg.classifier_hidden.begin(),
+              cfg.classifier_hidden.end());
+  head.push_back(1);
+  util::Rng classifier_rng(cfg.seed ^ 0xc2b2ae3d27d4eb4fULL);
+  TwoPassMlp classifier(head, classifier_rng);
+
+  util::Rng shuffle_rng(cfg.seed ^ 0xa5a5a5a5ULL);
+  std::vector<std::size_t> order(inputs.rows());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const double elem_norm = 1.0 / static_cast<double>(inputs.cols());
+  const double lr = cfg.learning_rate;
+  const auto clip = [&](Matrix& m) {
+    for (std::size_t i = 0; i < m.size(); ++i)
+      m.data()[i] =
+          std::clamp(m.data()[i], -cfg.gradient_clip, cfg.gradient_clip);
+  };
+  for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
+    shuffle_rng.shuffle(order);
+    for (std::size_t start = 0; start < order.size();
+         start += cfg.batch_size) {
+      const std::vector<std::size_t> batch(
+          order.begin() + static_cast<std::ptrdiff_t>(start),
+          order.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(order.size(), start + cfg.batch_size)));
+      const auto n = static_cast<double>(batch.size());
+      const Matrix x = inputs.gather_rows(batch);
+      const Matrix& code = encoder.forward(x);
+      const Matrix& recon = decoder.forward(code);
+      const Matrix& logit = classifier.forward(code);
+
+      Matrix d_recon = recon;
+      d_recon -= x;
+      d_recon *= 2.0 / n * elem_norm;
+      clip(d_recon);
+      encoder.backward(decoder.backward(d_recon));
+      decoder.apply(lr);
+      encoder.apply(lr);
+
+      Matrix d_logit(logit.rows(), 1);
+      for (std::size_t r = 0; r < logit.rows(); ++r) {
+        const double p = 1.0 / (1.0 + std::exp(-logit(r, 0)));
+        d_logit(r, 0) = (p - static_cast<double>(labels[batch[r]])) / n;
+      }
+      clip(d_logit);
+      encoder.backward(classifier.backward(d_logit));
+      classifier.apply(lr);
+      encoder.apply(cfg.alpha * lr);
+    }
+  }
+
+  // Mirrors SupervisedAutoencoder::save field by field.
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("SAE1");
+  writer.u64(cfg.encoder_dims.size());
+  for (std::size_t d : cfg.encoder_dims) writer.u64(d);
+  writer.u64(cfg.classifier_hidden.size());
+  for (std::size_t d : cfg.classifier_hidden) writer.u64(d);
+  writer.f64(cfg.learning_rate);
+  writer.f64(cfg.alpha);
+  writer.i64(cfg.epochs);
+  writer.u64(cfg.batch_size);
+  writer.u64(cfg.seed);
+  writer.u64(cfg.mean_reconstruction_loss ? 1 : 0);
+  writer.f64(cfg.gradient_clip);
+  writer.i64(cfg.retry.max_attempts);
+  writer.f64(cfg.retry_lr_backoff);
+  encoder.save(writer);
+  decoder.save(writer);
+  classifier.save(writer);
+  return stream.str();
+}
+
+TEST(SupervisedAutoencoder, FusedStepMatchesTwoPassTrajectoryBitForBit) {
+  // 306 rows: batch 16 leaves a 2-row last batch, batch 300 makes the step
+  // GEMM's k exceed one KC block (256) and splits the 100-wide layer's
+  // products into several tiles (two MC row blocks in its step).
+  util::Rng rng(61);
+  Matrix x(306, 40);
+  std::vector<int> y(x.rows());
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 3 == 0);
+
+  const kern::IsaPath original_path = kern::active_path();
+  for (const kern::IsaPath path : kern::supported_paths()) {
+    kern::force_path(path);
+    for (const std::size_t threads : {1u, 4u}) {
+      par::set_threads(threads);
+      for (const std::size_t batch : {1u, 16u, 300u}) {
+        for (const double alpha : {1.0, 0.3}) {
+          AutoencoderConfig cfg;
+          cfg.encoder_dims = {40, 100, 6};
+          cfg.classifier_hidden = {9};
+          cfg.epochs = 2;
+          cfg.batch_size = batch;
+          cfg.alpha = alpha;
+          cfg.learning_rate = 0.01;
+          cfg.seed = 67;
+          SupervisedAutoencoder fused(cfg);
+          fused.train(x, y);
+          std::stringstream stream;
+          util::BinaryWriter writer(stream);
+          fused.save(writer);
+          const std::string expected = two_pass_trained_record(cfg, x, y);
+          const std::string actual = stream.str();
+          ASSERT_EQ(actual.size(), expected.size());
+          EXPECT_EQ(0, std::memcmp(actual.data(), expected.data(),
+                                   actual.size()))
+              << kern::path_name(path) << " threads=" << threads
+              << " batch=" << batch << " alpha=" << alpha;
+        }
+      }
+    }
+  }
+  kern::force_path(original_path);
+  par::set_threads(0);
 }
 
 }  // namespace

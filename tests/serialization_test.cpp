@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "core/presence.h"
 #include "ml/knn.h"
@@ -146,6 +147,30 @@ TEST(Serialization, DenseRejectsWrappingShape) {
   EXPECT_THROW(nn::Dense::load(reader), std::runtime_error);
 }
 
+// The activation is a raw u64 on disk: anything past the last enumerator
+// must fail at load, not at the first infer.
+TEST(Serialization, DenseRejectsUnknownActivation) {
+  const auto load = [](std::uint64_t activation) {
+    std::stringstream stream;
+    util::BinaryWriter writer(stream);
+    writer.tag("DNSE");
+    writer.u64(1);
+    writer.u64(2);
+    writer.u64(activation);
+    writer.f64_vector({0.5, -0.5});
+    writer.f64_vector({0.25});
+    util::BinaryReader reader(stream);
+    return nn::Dense::load(reader);
+  };
+  for (std::uint64_t activation : {std::uint64_t{4}, std::uint64_t{9},
+                                   ~std::uint64_t{0}})
+    EXPECT_THROW(load(activation), std::runtime_error) << activation;
+  const nn::Dense loaded =
+      load(static_cast<std::uint64_t>(nn::Activation::kTanh));
+  EXPECT_EQ(loaded.activation(), nn::Activation::kTanh);
+  EXPECT_NO_THROW(loaded.infer(nn::Matrix(1, 2, 1.0)));
+}
+
 TEST(Serialization, MlpRoundTrip) {
   util::Rng rng(5);
   nn::Mlp mlp({3, 8, 2}, nn::Activation::kRelu, nn::Activation::kIdentity,
@@ -194,6 +219,49 @@ TEST(Serialization, SupervisedAutoencoderRoundTrip) {
   const nn::Matrix code_after = loaded.encode(x);
   for (std::size_t i = 0; i < code_before.size(); ++i)
     EXPECT_DOUBLE_EQ(code_before.data()[i], code_after.data()[i]);
+}
+
+// An SAE1 record with the given epochs/batch_size and otherwise valid
+// fields (mirrors SupervisedAutoencoder::save field by field).
+std::string autoencoder_record(std::int64_t epochs, std::uint64_t batch_size) {
+  util::Rng rng(17);
+  std::stringstream stream;
+  util::BinaryWriter writer(stream);
+  writer.tag("SAE1");
+  writer.u64(3);
+  for (std::uint64_t d : {4, 3, 2}) writer.u64(d);
+  writer.u64(1);
+  writer.u64(4);
+  writer.f64(0.005);  // learning_rate
+  writer.f64(1.0);    // alpha
+  writer.i64(epochs);
+  writer.u64(batch_size);
+  writer.u64(7);      // seed
+  writer.u64(1);      // mean_reconstruction_loss
+  writer.f64(5.0);    // gradient_clip
+  writer.i64(2);      // retry.max_attempts
+  writer.f64(0.5);    // retry_lr_backoff
+  nn::Mlp({4, 3, 2}, nn::Activation::kRelu, nn::Activation::kIdentity, rng)
+      .save(writer);
+  nn::Mlp({2, 3, 4}, nn::Activation::kRelu, nn::Activation::kIdentity, rng)
+      .save(writer);
+  nn::Mlp({2, 4, 1}, nn::Activation::kRelu, nn::Activation::kIdentity, rng)
+      .save(writer);
+  return stream.str();
+}
+
+TEST(Serialization, SupervisedAutoencoderRejectsBadBatchOrEpochs) {
+  const auto load = [](const std::string& bytes) {
+    std::stringstream stream(bytes);
+    util::BinaryReader reader(stream);
+    return nn::SupervisedAutoencoder::load(reader);
+  };
+  EXPECT_EQ(load(autoencoder_record(0, 1)).config().epochs, 0);
+  EXPECT_EQ(load(autoencoder_record(20, 16)).config().batch_size, 16u);
+  EXPECT_THROW(load(autoencoder_record(20, 0)), std::runtime_error);
+  EXPECT_THROW(load(autoencoder_record(-1, 16)), std::runtime_error);
+  EXPECT_THROW(load(autoencoder_record(std::int64_t{1} << 40, 16)),
+               std::runtime_error);
 }
 
 // ---------- ml ----------

@@ -7,9 +7,12 @@
 //   kernel_bench [--out kernel_bench.json] [--threads N] [--min-ms 80]
 //                [--quick]
 //
-// Shapes mirror the pipeline's real products: mini-batch forward/backward
-// GEMMs (m = batch), batch encoding (m = corpus rows), and a square
-// stress shape. --quick shrinks reps and the shape list for CI smoke.
+// Shapes are the gowalla preset's autoencoder products (encoder
+// 1380 -> 320 -> 48, batch 16): the mini-batch forward GEMMs, the
+// input-gradient GEMM, the fused SGD-step GEMMs on the two big weight
+// matrices, and the corpus-wide encode (m = 3,426 labeled pairs), plus a
+// square stress shape. --quick shrinks reps and drops the large shapes for
+// CI smoke.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -28,10 +31,22 @@ namespace {
 using namespace fs;
 namespace json = obs::json;
 
+enum class Op { kNn, kNt, kStep };  // kStep: TN with the SGD-step epilogue
+
 struct Shape {
   std::size_t m, n, k;
-  const char* what;  // which pipeline product this stands in for
+  Op op;
+  const char* what;  // which pipeline product this is
 };
+
+const char* op_name(Op op) {
+  switch (op) {
+    case Op::kNn: return "nn";
+    case Op::kNt: return "nt";
+    case Op::kStep: return "tn+sgd_step";
+  }
+  return "?";
+}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -55,22 +70,39 @@ std::pair<double, std::size_t> measure(double min_ms, const Body& body) {
 }
 
 json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
+  // Operand storage sizes are the same for every op; only the layout the
+  // call declares differs.
   nn::Matrix a(shape.m, shape.k);
   nn::Matrix b(shape.k, shape.n);
   nn::Matrix c(shape.m, shape.n);
   for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
   for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] = rng.normal();
 
-  const auto [wall_ms, reps] = measure(min_ms, [&] {
-    kern::gemm_nn(shape.m, shape.n, shape.k, a.data(), shape.k, b.data(),
-                  shape.n, c.data(), shape.n);
-  });
+  kern::GemmCall call;
+  call.m = shape.m;
+  call.n = shape.n;
+  call.k = shape.k;
+  call.a = a.data();
+  call.a_trans = shape.op == Op::kStep;
+  call.lda = call.a_trans ? shape.m : shape.k;
+  call.b = b.data();
+  call.b_trans = shape.op == Op::kNt;
+  call.ldb = call.b_trans ? shape.k : shape.n;
+  call.c = c.data();
+  call.ldc = shape.n;
+  if (shape.op == Op::kStep) {
+    call.epilogue = kern::Epilogue::kSgdStep;
+    call.lr = 1e-9;  // keeps repeated steps far from overflow
+  }
+  const auto [wall_ms, reps] = measure(min_ms, [&] { kern::gemm(call); });
   const double flops = 2.0 * static_cast<double>(shape.m) *
                        static_cast<double>(shape.n) *
                        static_cast<double>(shape.k) *
                        static_cast<double>(reps);
   json::Object entry;
   entry["what"] = std::string(shape.what);
+  entry["op"] = std::string(op_name(shape.op));
   entry["m"] = shape.m;
   entry["n"] = shape.n;
   entry["k"] = shape.k;
@@ -85,15 +117,18 @@ int run(const util::ArgParser& args) {
   const bool quick = args.get_flag("quick");
   const double min_ms = quick ? 5.0 : args.get_double("min-ms");
 
-  // Stand-ins for the pipeline's actual hot products (tiny/gowalla-sized
-  // training batches, corpus-wide encodes) plus one square stress shape.
   std::vector<Shape> shapes = {
-      {16, 320, 640, "dense.forward (mini-batch)"},
-      {320, 640, 16, "dense.grad_weights (tn)"},
-      {800, 48, 320, "encode (corpus rows)"},
-      {256, 256, 256, "square"},
+      {16, 320, 1380, Op::kNt, "encoder 1380->320 forward"},
+      {16, 1380, 320, Op::kNt, "decoder 320->1380 forward"},
+      {16, 320, 1380, Op::kNn, "decoder 320->1380 input gradient"},
+      {320, 1380, 16, Op::kStep, "encoder 1380->320 sgd step"},
+      {1380, 320, 16, Op::kStep, "decoder 320->1380 sgd step"},
+      {256, 256, 256, Op::kNn, "square"},
   };
-  if (!quick) shapes.push_back({512, 512, 512, "square-large"});
+  if (!quick) {
+    shapes.push_back({3426, 320, 1380, Op::kNt, "encode (corpus rows)"});
+    shapes.push_back({512, 512, 512, Op::kNn, "square-large"});
+  }
 
   json::Array paths;
   for (const kern::IsaPath path : kern::supported_paths()) {
@@ -109,7 +144,7 @@ int run(const util::ArgParser& args) {
   }
 
   json::Object root;
-  root["schema_version"] = 1;
+  root["schema_version"] = 2;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
