@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "par/par.h"
+#include "util/hash.h"
 
 namespace fs::block {
 
@@ -45,6 +46,7 @@ CellIndex::CellIndex(const data::Dataset& dataset,
   popts.context = context;
   popts.what = "block.cell_index.profiles";
   popts.grain = 16;
+  std::vector<std::uint64_t> user_digests(dataset.user_count());
   par::parallel_for(dataset.user_count(), popts, [&](std::size_t u) {
     const auto user = static_cast<data::UserId>(u);
     auto& visits = poi_visits_[u];
@@ -56,6 +58,15 @@ CellIndex::CellIndex(const data::Dataset& dataset,
           static_cast<std::uint32_t>(grid * slot_count_ + slot), c.poi});
     }
     std::sort(visits.begin(), visits.end());
+    // Each distinct visit with its multiplicity, hashed before duplicates
+    // go: the JOC counts the signature stands for include repeats.
+    util::Fnv1a h;
+    for (auto it = visits.begin(); it != visits.end();) {
+      const auto end = std::upper_bound(it, visits.end(), *it);
+      h.value(it->cellslot).value(it->poi).value(end - it);
+      it = end;
+    }
+    user_digests[u] = h.digest();
     visits.erase(std::unique(visits.begin(), visits.end()), visits.end());
 
     // The profile is the visit list with the POI dimension collapsed;
@@ -87,23 +98,11 @@ CellIndex::CellIndex(const data::Dataset& dataset,
   }
   cell_offsets_.push_back(cell_users_.size());
 
-  // Content fingerprint: dimensions plus every profile entry.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(grid_count_);
-  mix(slot_count_);
-  mix(cell_profiles_.size());
-  for (const auto& visits : poi_visits_) {
-    mix(visits.size());
-    for (const PoiVisit& v : visits) {
-      mix(v.cellslot);
-      mix(v.poi);
-    }
-  }
-  signature_ = h;
+  // Content fingerprint: dimensions plus every user's counted visits.
+  util::Fnv1a h;
+  h.u64(grid_count_).u64(slot_count_).u64(user_digests.size());
+  for (const std::uint64_t d : user_digests) h.u64(d);
+  signature_ = h.digest();
   span.arg("occupied_cells", static_cast<double>(occupied_.size()));
 }
 

@@ -77,10 +77,10 @@ class CellIndex {
   /// the "strong" co-occurrence that makes the pair's JOC carry n_ab mass.
   bool strong_cooccur(data::UserId a, data::UserId b) const;
 
-  /// FNV-1a fingerprint of the full index content (profiles + dimensions).
-  /// Two datasets cast into the same division and slotting collide only if
-  /// their binned occupancy is identical, which is exactly when cached
-  /// per-pair features are reusable.
+  /// FNV-1a fingerprint of the dimensions and every user's (cell-slot, POI)
+  /// visits with how often each occurred. Two datasets cast into the same
+  /// division and slotting collide only if their binned occupancy counts are
+  /// identical, which is exactly when cached per-pair features are reusable.
   std::uint64_t signature() const { return signature_; }
 
  private:

@@ -11,7 +11,7 @@
 //   "FSCP"            4-byte magic
 //   u64               format version
 //   --- CRC32 region ---
-//   u64               config/dataset fingerprint
+//   u64               run fingerprint
 //   i64               completed iteration
 //   i32_vector        predictions over the candidate-pair universe
 //   f64_vector        decision scores over the universe
@@ -36,8 +36,10 @@ namespace fs::core {
 inline constexpr std::uint64_t kCheckpointVersion = 1;
 
 struct PipelineCheckpoint {
-  /// Hash of the run configuration + dataset shape; a resume against a
-  /// different run is rejected as corrupt rather than silently mixed in.
+  /// Run fingerprint: the binned dataset, phase 1's recipe and training
+  /// set, the universe, the resolved blocking and the phase-2 model. A
+  /// resume against a different run is rejected as corrupt rather than
+  /// silently mixed in.
   std::uint64_t fingerprint = 0;
   int iteration = 0;  // last completed phase-2 iteration
   std::vector<int> predictions;

@@ -48,11 +48,6 @@ struct FriendSeekerConfig {
   /// which keeps a small churn floor (a few percent of borderline pairs
   /// flip each round), so the scaled default is 4.5 %.
   double convergence_threshold = 0.055;
-  /// Flip hysteresis: an existing edge is removed (or a missing edge
-  /// added) only when the SVM decision clears the tuned cut by this many
-  /// standard deviations of the decision distribution. Damps borderline
-  /// pairs oscillating between iterations; 0 disables.
-  double flip_margin = 0.3;
 
   // ---- Candidate blocking & feature caching ----
   /// Spatial-temporal blocking over the candidate universe: pairs that never
@@ -87,11 +82,11 @@ struct FriendSeekerConfig {
   /// budget). Threaded through every heavy loop: the JOC build, autoencoder
   /// epochs, SMO passes, and the phase-2 refinement loop. Null = unlimited.
   runtime::ExecutionContext* context = nullptr;
-  /// Per-phase wall-clock budgets in seconds, applied as PhaseScope
-  /// tightening on top of the context deadline (0 = no per-phase budget).
-  /// Expiry truncates the phase at the next safe boundary and records the
-  /// loss in the result's DegradationReport instead of failing the run.
-  double phase1_budget_sec = 0.0;
+  /// Phase-2 wall-clock budget in seconds, applied as PhaseScope
+  /// tightening on top of the context deadline (0 = no phase budget).
+  /// Expiry stops the refinement loop at the next iteration boundary and
+  /// records the loss in the result's DegradationReport instead of failing
+  /// the run.
   double phase2_budget_sec = 0.0;
 
   std::uint64_t seed = 99;

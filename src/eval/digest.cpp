@@ -2,62 +2,44 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "kern/kern.h"
+#include "util/hash.h"
 
 namespace fs::eval {
 
 namespace {
 
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+void hash_graph(util::Fnv1a& h, const graph::Graph& g) {
+  h.u64(g.node_count());
+  for (graph::NodeId v = 0; v < g.node_count(); ++v)
+    for (graph::NodeId w : g.neighbors(v))
+      if (v < w) h.u64(v).u64(w);
+}
 
-  void mix(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (v >> shift) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-
-  void mix_graph(const graph::Graph& g) {
-    mix(g.node_count());
-    for (graph::NodeId v = 0; v < g.node_count(); ++v)
-      for (graph::NodeId w : g.neighbors(v))
-        if (v < w) {
-          mix(v);
-          mix(w);
-        }
-  }
-
-  std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-  }
-};
+std::string hex(const util::Fnv1a& h) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h.digest()));
+  return buf;
+}
 
 }  // namespace
 
 std::string result_digest(const core::FriendSeekerResult& result) {
-  Fnv fnv;
+  util::Fnv1a h;
   for (int p : result.test_predictions)
-    fnv.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(p)));
-  for (double s : result.test_scores) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &s, sizeof(bits));
-    fnv.mix(bits);
-  }
-  fnv.mix_graph(result.final_graph);
-  return fnv.hex();
+    h.u64(static_cast<std::uint32_t>(p));
+  for (double s : result.test_scores) h.f64(s);
+  hash_graph(h, result.final_graph);
+  return hex(h);
 }
 
 std::string graph_digest(const graph::Graph& g) {
-  Fnv fnv;
-  fnv.mix_graph(g);
-  return fnv.hex();
+  util::Fnv1a h;
+  hash_graph(h, g);
+  return hex(h);
 }
 
 std::string toolchain_fingerprint() {
@@ -71,12 +53,7 @@ std::string toolchain_fingerprint() {
 }
 
 std::string text_digest(const std::string& text) {
-  Fnv fnv;
-  for (unsigned char ch : text) {
-    fnv.h ^= ch;
-    fnv.h *= 0x100000001b3ULL;
-  }
-  return fnv.hex();
+  return hex(util::Fnv1a().bytes(text));
 }
 
 }  // namespace fs::eval

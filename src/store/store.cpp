@@ -13,6 +13,7 @@
 
 #include "util/binary_io.h"
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace fs::store {
 
@@ -26,18 +27,10 @@ namespace {
 
 std::uint64_t sort_fingerprint(std::span<const std::uint32_t> cells,
                                std::span<const std::uint32_t> slots) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      h ^= (v >> shift) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    mix(cells[i]);
-    mix(slots[i]);
-  }
-  return h;
+  util::Fnv1a h(util::Fnv1a::kLegacyOffsetBasis);
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    h.value(cells[i]).value(slots[i]);
+  return h.digest();
 }
 
 MappedStore MappedStore::open(const std::string& path, Verify verify) {

@@ -1,42 +1,13 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <deque>
 
+#include "util/hash.h"
+
 namespace fs::stream {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t value) {
-  fnv_bytes(h, &value, sizeof(value));
-}
-
-void fnv_i64(std::uint64_t& h, std::int64_t value) {
-  fnv_bytes(h, &value, sizeof(value));
-}
-
-void fnv_f64(std::uint64_t& h, double value) {
-  const auto bits = std::bit_cast<std::uint64_t>(value);
-  fnv_bytes(h, &bits, sizeof(bits));
-}
-
-void fnv_str(std::uint64_t& h, const std::string& value) {
-  std::uint64_t len = value.size();
-  fnv_bytes(h, &len, sizeof(len));
-  fnv_bytes(h, value.data(), value.size());
-}
 
 template <typename T>
 bool sorted_insert(std::vector<T>& v, const T& value) {
@@ -343,45 +314,35 @@ std::uint64_t StreamEngine::oldest_dirty_tick() const {
 }
 
 std::uint64_t StreamEngine::state_digest() const {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, events_.size());
+  util::Fnv1a h(util::Fnv1a::kLegacyOffsetBasis);
+  h.u64(events_.size());
   for (const auto& e : events_) {
-    fnv_i64(h, e.user);
-    fnv_i64(h, e.time);
-    fnv_f64(h, e.location.lat);
-    fnv_f64(h, e.location.lng);
-    fnv_i64(h, e.poi);
-    fnv_u64(h, e.has_explicit_id ? e.event_id : 0);
-    fnv_str(h, e.line);
+    h.value(e.user).value(e.time);
+    h.f64(e.location.lat).f64(e.location.lng);
+    h.value(e.poi).u64(e.has_explicit_id ? e.event_id : 0);
+    h.u64(e.line.size()).bytes(e.line);
   }
-  fnv_u64(h, user_ids_.size());
-  for (const auto id : user_ids_) fnv_i64(h, id);
-  fnv_u64(h, poi_ids_.size());
-  for (const auto id : poi_ids_) fnv_i64(h, id);
-  fnv_u64(h, live_edges_.size());
-  for (const auto& [a, b] : live_edges_) {
-    fnv_i64(h, user_ids_[a]);
-    fnv_i64(h, user_ids_[b]);
-  }
-  fnv_u64(h, dirty_.size());
-  for (const auto& [pair, tick] : dirty_) {
-    fnv_i64(h, user_ids_[pair.first]);
-    fnv_i64(h, user_ids_[pair.second]);
-  }
-  return h;
+  h.u64(user_ids_.size());
+  for (const auto id : user_ids_) h.value(id);
+  h.u64(poi_ids_.size());
+  for (const auto id : poi_ids_) h.value(id);
+  h.u64(live_edges_.size());
+  for (const auto& [a, b] : live_edges_)
+    h.value(user_ids_[a]).value(user_ids_[b]);
+  h.u64(dirty_.size());
+  for (const auto& [pair, tick] : dirty_)
+    h.value(user_ids_[pair.first]).value(user_ids_[pair.second]);
+  return h.digest();
 }
 
 std::uint64_t StreamEngine::config_fingerprint() const {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, config_.sigma);
-  fnv_f64(h, config_.tau_days);
-  fnv_i64(h, config_.slot_tolerance);
-  fnv_i64(h, config_.hop_expansion);
-  fnv_f64(h, config_.strong_weight);
-  fnv_f64(h, config_.cell_weight);
-  fnv_f64(h, config_.decide_threshold);
-  fnv_i64(h, config_.lateness_budget_sec);
-  return h;
+  util::Fnv1a h(util::Fnv1a::kLegacyOffsetBasis);
+  h.u64(config_.sigma).f64(config_.tau_days);
+  h.value(std::int64_t{config_.slot_tolerance});
+  h.value(std::int64_t{config_.hop_expansion});
+  h.f64(config_.strong_weight).f64(config_.cell_weight);
+  h.f64(config_.decide_threshold).value(config_.lateness_budget_sec);
+  return h.digest();
 }
 
 std::vector<long long> StreamEngine::take_touched_users() {

@@ -190,6 +190,9 @@ RecoveredJournal recover_journal(const std::string& path) {
     result.truncated_tail = true;
     return result;
   }
+  in.seekg(0, std::ios::end);
+  const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(sizeof(header));
   result.valid_bytes = sizeof(header);
   while (true) {
     char frame_header[kFrameHeaderBytes];
@@ -203,7 +206,10 @@ RecoveredJournal recover_journal(const std::string& path) {
     std::memcpy(&magic, frame_header, sizeof(magic));
     std::memcpy(&len, frame_header + 4, sizeof(len));
     std::memcpy(&crc, frame_header + 8, sizeof(crc));
-    if (magic != kFrameMagic) {
+    // Check the length against the bytes left before allocating for it: a
+    // torn or forged header is a torn tail, not a multi-GiB allocation.
+    if (magic != kFrameMagic ||
+        len > file_bytes - result.valid_bytes - kFrameHeaderBytes) {
       result.truncated_tail = true;
       break;
     }

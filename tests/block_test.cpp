@@ -112,6 +112,20 @@ TEST(CellIndex, SignatureTracksContent) {
   EXPECT_NE(a.index->signature(), c.index->signature());
 }
 
+TEST(CellIndex, SignatureCountsRepeatVisits) {
+  // A repeat of an existing check-in leaves every deduplicated visit and
+  // profile as it was but raises a JOC count, so it must move the signature.
+  const IndexedWorld iw = make_indexed_world(17);
+  std::vector<data::CheckIn> checkins = iw.world.dataset.checkins();
+  checkins.push_back(checkins.front());
+  const data::Dataset repeated = iw.world.dataset.with_checkins(checkins);
+  const block::CellIndex index(repeated, *iw.view, *iw.slots);
+  const data::UserId user = checkins.front().user;
+  ASSERT_TRUE(std::ranges::equal(index.poi_visits(user),
+                                 iw.index->poi_visits(user)));
+  EXPECT_NE(index.signature(), iw.index->signature());
+}
+
 TEST(StrongGraph, EdgesAreExactlyStrongCooccurrences) {
   const IndexedWorld iw = make_indexed_world(19, 40);
   const block::CellIndex& index = *iw.index;

@@ -12,7 +12,9 @@
 #include "core/checkpoint.h"
 #include "core/pipeline.h"
 #include "data/loader.h"
+#include "data/obfuscation.h"
 #include "data/synthetic.h"
+#include "eval/digest.h"
 #include "eval/pairs.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -315,6 +317,67 @@ TEST_F(FailpointTest, ResumeRejectsBitRot) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   EXPECT_THROW(core::load_pipeline_checkpoint(path), CorruptCheckpoint);
+}
+
+/// Saves a one-iteration checkpoint on the experiment's dataset, resumes
+/// on `other`, and requires the checkpoint to be rejected: a
+/// kCorruptCheckpoint warning and the result of a fresh run on `other`.
+void expect_resume_rejected_on(const SmallExperiment& exp,
+                               const data::Dataset& other,
+                               const std::string& dir) {
+  const auto run = [&exp](const data::Dataset& dataset,
+                          const core::FriendSeekerConfig& config) {
+    core::FriendSeeker seeker(config);
+    return seeker.run(dataset, exp.split.train_pairs, exp.split.train_labels,
+                      exp.split.test_pairs);
+  };
+
+  core::FriendSeekerConfig save_config = exp.config;
+  save_config.checkpoint_dir = dir;
+  save_config.max_iterations = 1;
+  (void)run(exp.dataset, save_config);
+  ASSERT_TRUE(std::filesystem::exists(dir + "/checkpoint.fsck"));
+
+  core::FriendSeekerConfig resume_config = exp.config;
+  resume_config.checkpoint_dir = dir;
+  resume_config.resume = true;
+  const auto resumed = run(other, resume_config);
+  EXPECT_EQ(resumed.resumed_from_iteration, 0);
+  bool rejected = false;
+  for (const util::Diagnostic& d : resumed.diagnostics.entries())
+    rejected = rejected || (d.severity == util::Severity::kWarning &&
+                            d.code == ErrorCode::kCorruptCheckpoint);
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(eval::result_digest(resumed),
+            eval::result_digest(run(other, exp.config)));
+}
+
+TEST_F(FailpointTest, ResumeRejectsAnotherDatasetsCheckpoint) {
+  SmallExperiment exp = make_small_experiment();
+  const std::string dir = testing::TempDir() + "/fs_fp_foreign";
+  std::filesystem::remove_all(dir);
+  // B keeps A's users and check-in count; half its check-ins move to a POI
+  // in a neighbouring grid cell.
+  const geo::QuadtreeDivision grid(exp.dataset.poi_coordinates(),
+                                   exp.config.sigma);
+  util::Rng rng(7);
+  const data::Dataset blurred =
+      data::blur_cross_grid(exp.dataset, 0.5, grid, rng);
+  ASSERT_EQ(blurred.user_count(), exp.dataset.user_count());
+  ASSERT_EQ(blurred.checkin_count(), exp.dataset.checkin_count());
+  expect_resume_rejected_on(exp, blurred, dir);
+}
+
+TEST_F(FailpointTest, ResumeRejectsCheckpointOfOtherRepeatCounts) {
+  SmallExperiment exp = make_small_experiment();
+  const std::string dir = testing::TempDir() + "/fs_fp_repeat";
+  std::filesystem::remove_all(dir);
+  // B is A plus one repeat of an existing check-in: the same users,
+  // (cell, slot, POI) visits and profiles, but one JOC count higher.
+  std::vector<data::CheckIn> checkins = exp.dataset.checkins();
+  checkins.push_back(checkins.front());
+  const data::Dataset repeated = exp.dataset.with_checkins(checkins);
+  expect_resume_rejected_on(exp, repeated, dir);
 }
 
 // ---------- permissive ingestion of a dirty trace, end to end ----------

@@ -324,5 +324,14 @@ TEST(Store, SortFingerprintIsOrderSensitive) {
                                     {slots.data(), 3}));
 }
 
+TEST(Store, SortFingerprintKeepsItsPersistedValue) {
+  // Every .fsst header carries this fingerprint; a change to the hashing
+  // would make existing stores fail verification.
+  const std::vector<std::uint32_t> cells = {3, 1, 4, 1, 5};
+  const std::vector<std::uint32_t> slots = {9, 2, 6, 5, 3};
+  EXPECT_EQ(store::sort_fingerprint({cells.data(), 5}, {slots.data(), 5}),
+            0xcce7c7639f8acf9aULL);
+}
+
 }  // namespace
 }  // namespace fs

@@ -131,6 +131,18 @@ TEST(EventParse, RejectedEventsNeverMutateEngineState) {
   EXPECT_EQ(engine.accepted_count(), 2u);
 }
 
+TEST(Engine, DigestsKeepTheirPersistedValues) {
+  // Snapshots on disk carry the config fingerprint and serve reports the
+  // state digest; a hashing change must not move either.
+  stream::StreamEngine engine{stream::EngineConfig{}};
+  EXPECT_EQ(engine.config_fingerprint(), 0x0e450e45e59d6da3ULL);
+  EXPECT_EQ(engine.state_digest(), 0x310ea34061520363ULL);
+  for (const char* line : {"1\t2010-10-19T10:00:00Z\t30.25\t-97.75\t5\t100",
+                           "2\t2010-10-19T10:30:00Z\t30.25\t-97.75\t5\t101"})
+    ASSERT_FALSE(engine.ingest(must_parse(line)).has_value());
+  EXPECT_EQ(engine.state_digest(), 0xe499b15c5d4ec2a0ULL);
+}
+
 TEST(Engine, LatenessBudgetQuarantinesStaleEvents) {
   stream::EngineConfig cfg;
   cfg.lateness_budget_sec = 3600;
@@ -244,6 +256,29 @@ TEST(Journal, TornTailIsDetectedAndTruncatable) {
   EXPECT_FALSE(recovered.truncated_tail);
   ASSERT_EQ(recovered.records.size(), 2u);
   EXPECT_EQ(recovered.records[1].line, "y2");
+}
+
+TEST(Journal, OversizedFrameLengthReadsAsTornTail) {
+  const std::string dir = temp_dir("journal_oversized");
+  const std::string path = dir + "/journal.fsj";
+  {
+    stream::JournalWriter writer(path);
+    writer.append_quarantined(0, stream::RejectReason::kShortLine, "keep");
+  }
+  const auto valid_size = std::filesystem::file_size(path);
+  // A last frame with a valid magic whose length claims ~4 GiB the file
+  // does not hold: recovery must stop there without allocating it.
+  const std::array<std::uint32_t, 3> header = {0x464A4C31u, 0xFFFFFFF0u, 0u};
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(header.data()),
+              sizeof(std::uint32_t) * header.size());
+  }
+  const auto recovered = stream::recover_journal(path);
+  EXPECT_TRUE(recovered.truncated_tail);
+  ASSERT_EQ(recovered.records.size(), 1u);
+  EXPECT_EQ(recovered.records[0].line, "keep");
+  EXPECT_EQ(recovered.valid_bytes, valid_size);
 }
 
 TEST(Journal, TornWriteFailpointThrowsAndLeavesRecoverablePrefix) {

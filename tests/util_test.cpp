@@ -6,6 +6,7 @@
 #include <set>
 
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -13,6 +14,41 @@
 
 namespace fs::util {
 namespace {
+
+// ---------- Fnv1a ----------
+
+TEST(Fnv1a, KnownAnswers) {
+  EXPECT_EQ(Fnv1a().digest(), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a().bytes("").digest(), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a().bytes("a").digest(), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a().bytes("foobar").digest(), 0x85944171f73967e8ULL);
+  // Chained calls continue one stream.
+  EXPECT_EQ(Fnv1a().bytes("foo").bytes("bar").digest(),
+            Fnv1a().bytes("foobar").digest());
+}
+
+TEST(Fnv1a, ScalarsHashTheirLittleEndianBytes) {
+  const unsigned char u64_le[] = {0xef, 0xcd, 0xab, 0x89,
+                                  0x67, 0x45, 0x23, 0x01};
+  EXPECT_EQ(Fnv1a().u64(0x0123456789abcdefULL).digest(),
+            Fnv1a().bytes(u64_le, sizeof(u64_le)).digest());
+  // 1.0 is 0x3ff0000000000000.
+  const unsigned char one_le[] = {0, 0, 0, 0, 0, 0, 0xf0, 0x3f};
+  EXPECT_EQ(Fnv1a().f64(1.0).digest(),
+            Fnv1a().bytes(one_le, sizeof(one_le)).digest());
+  EXPECT_NE(Fnv1a().f64(0.0).digest(), Fnv1a().f64(-0.0).digest());
+
+  const unsigned char u32_le[] = {0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(Fnv1a().value(std::uint32_t{0x01020304}).digest(),
+            Fnv1a().bytes(u32_le, sizeof(u32_le)).digest());
+  EXPECT_EQ(Fnv1a().value(std::int64_t{-2}).digest(),
+            Fnv1a().u64(0xfffffffffffffffeULL).digest());
+  EXPECT_EQ(Fnv1a().value(true).digest(), Fnv1a().bytes("\x01").digest());
+  enum class Small : std::uint16_t { kX = 0x0102 };
+  const unsigned char u16_le[] = {0x02, 0x01};
+  EXPECT_EQ(Fnv1a().value(Small::kX).digest(),
+            Fnv1a().bytes(u16_le, sizeof(u16_le)).digest());
+}
 
 // ---------- Rng ----------
 
