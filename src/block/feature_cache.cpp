@@ -53,13 +53,14 @@ const double* FeatureCache::RowStore::row(std::uint32_t index) const {
 }
 
 const double* FeatureCache::RowStore::find(const data::UserPair& pair) const {
+  const double* found = peek(pair);
+  (found != nullptr ? hits : misses).fetch_add(1, std::memory_order_relaxed);
+  return found;
+}
+
+const double* FeatureCache::RowStore::peek(const data::UserPair& pair) const {
   const auto it = of_pair.find(pair);
-  if (it == of_pair.end()) {
-    misses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits.fetch_add(1, std::memory_order_relaxed);
-  return row(it->second);
+  return it == of_pair.end() ? nullptr : row(it->second);
 }
 
 double* FeatureCache::RowStore::insert(const data::UserPair& pair) {

@@ -33,10 +33,11 @@
 // signature while keeping the surviving JOC rows instead of nuking the
 // cache because one event arrived.
 //
-// Concurrency contract: find_* are safe from parallel regions (lookups are
-// const; hit/miss counters are relaxed atomics). insert_* and prepare()
-// are single-threaded — the pipeline computes the miss list sequentially,
-// allocates slots sequentially, and only the row *fill* fans out.
+// Concurrency contract: find_*, peek_presence and count_presence_hits are
+// safe from parallel regions (lookups are const; hit/miss counters are
+// relaxed atomics). insert_* and prepare() are single-threaded — the
+// pipeline computes the miss list sequentially, allocates slots
+// sequentially, and only the row *fill* fans out.
 #pragma once
 
 #include <atomic>
@@ -98,6 +99,16 @@ class FeatureCache {
   const double* find_presence(const data::UserPair& pair) const {
     return presence_.find(pair);
   }
+  /// find_presence without the hit/miss count, for callers that resolve
+  /// rows ahead of the lookups they stand for and then book those lookups
+  /// with count_presence_hits (phase 2's edge-feature table).
+  const double* peek_presence(const data::UserPair& pair) const {
+    return presence_.peek(pair);
+  }
+  /// Books `hits` presence lookups that hit, in one relaxed atomic add.
+  void count_presence_hits(std::uint64_t hits) const {
+    presence_.hits.fetch_add(hits, std::memory_order_relaxed);
+  }
   double* insert_presence(const data::UserPair& pair) {
     return presence_.insert(pair);
   }
@@ -155,6 +166,7 @@ class FeatureCache {
 
     void reset(std::size_t new_width);
     const double* find(const data::UserPair& pair) const;
+    const double* peek(const data::UserPair& pair) const;
     double* insert(const data::UserPair& pair);
     /// Drops the pair's row (slot goes on the free list). False if absent.
     bool erase(const data::UserPair& pair);

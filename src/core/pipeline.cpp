@@ -338,9 +338,8 @@ std::optional<PipelineCheckpoint> load_resumable(
     const CheckpointSlot& checkpoint, std::size_t universe_size,
     util::Diagnostics& diagnostics) {
   if (!std::filesystem::exists(checkpoint.path)) {
-    diagnostics.report(util::Severity::kInfo, ErrorCode::kIo, "pipeline",
-                       "no checkpoint at " + checkpoint.path +
-                           "; starting fresh");
+    diagnostics.info("pipeline",
+                     "no checkpoint at " + checkpoint.path + "; starting fresh");
     return std::nullopt;
   }
   std::string why;
@@ -399,9 +398,8 @@ Phase1 phase1(const OccupancyIndex& occupancy, const Universe& u,
                                    : PresenceModel(presence_cfg);
   if (resumed.has_value()) {
     result.resumed_from_iteration = resumed->iteration;
-    diagnostics.report(util::Severity::kInfo, ErrorCode::kIo, "pipeline",
-                       "resumed from checkpoint at iteration " +
-                           std::to_string(resumed->iteration));
+    diagnostics.info("pipeline", "resumed from checkpoint at iteration " +
+                                     std::to_string(resumed->iteration));
   } else {
     obs::Span phase1_timer("core.pipeline.phase1");
     // An expired deadline truncates autoencoder training at the next epoch
@@ -505,10 +503,12 @@ std::vector<double> classify(const nn::Matrix& composite, const Universe& u,
     svm_labels.resize(order.size());
   }
 
+  obs::Span scale_span("core.phase2.scale");
   ml::StandardScaler scaler;
   const nn::Matrix svm_train =
       scaler.fit_transform(composite.gather_rows(svm_rows));
   const nn::Matrix all_scaled = scaler.transform(composite);
+  scale_span.end();
   std::vector<double> decision;
   if (config.phase2_classifier ==
       FriendSeekerConfig::Phase2Classifier::kLogistic) {
@@ -578,18 +578,17 @@ void phase2(Phase1& seed, const Universe& u,
   social_cfg.feature_dim = d;
   const std::size_t social_width = static_cast<std::size_t>(config.k - 1) * d;
 
-  const EdgeFeatureFn edge_feature = [&](data::UserId a, data::UserId b,
-                                         std::vector<double>& out) {
+  // The presence row of an edge of the current graph, or null for a pair
+  // outside the universe. Pruned rows never carry an edge, so the scored
+  // test only rejects pairs that were never cached. The lookup is uncounted:
+  // the composite books one cache hit per edge visit that finds a row,
+  // which is the count a probe per visit would give (every scored pair's
+  // row is cached by phase 1).
+  const auto edge_feature = [&](data::UserId a, data::UserId b) {
     const auto it = u.row_of.find(data::make_pair_ordered(a, b));
-    if (it == u.row_of.end()) return false;
-    // Pruned rows never carry an edge, so this probe only rejects pairs
-    // outside the universe; it also keeps the cache's hit accounting clean
-    // of pairs that were never cached.
-    if (u.scored_of_row[it->second] == kUnscored) return false;
-    const double* h = cache.find_presence(it->first);
-    if (h == nullptr) return false;
-    out.assign(h, h + d);
-    return true;
+    if (it == u.row_of.end() || u.scored_of_row[it->second] == kUnscored)
+      return static_cast<const double*>(nullptr);
+    return cache.peek_presence(it->first);
   };
 
   const auto save = [&](int iteration) {
@@ -657,39 +656,50 @@ void phase2(Phase1& seed, const Universe& u,
     iter_span.arg("iteration", static_cast<double>(iteration));
     try {
       // Composite features v = h ⊕ s for every scored pair on the current
-      // graph. Pairs fan out over the pool in fixed chunks; each chunk
-      // reuses one social/edge scratch pair across its pairs, and the k-hop
-      // working set is covered by the per-worker scratch charge. The
-      // presence half comes from the feature cache — a guaranteed hit after
-      // phase 1, which is exactly what the cache's hit-rate accounting is
-      // meant to show.
+      // graph. The edge-feature table resolves each edge's presence row
+      // once per iteration; pairs then fan out over the pool in fixed
+      // chunks, each chunk reusing one social-feature builder across its
+      // pairs, with the k-hop working set covered by the per-worker scratch
+      // charge. The presence half comes from the feature cache — a
+      // guaranteed hit after phase 1, which is exactly what the cache's
+      // hit-rate accounting is meant to show.
+      obs::Span composite_span("core.phase2.composite");
+      const EdgeFeatureTable table =
+          config.use_social_feature
+              ? make_edge_feature_table(labels.graph, d, edge_feature)
+              : EdgeFeatureTable{};
       par::ParallelOptions copts;
       copts.context = ctx;
       copts.what = "core.phase2.composite";
       copts.grain = 8;
       copts.scratch_bytes_per_worker = (social_width + d) * sizeof(double);
       par::parallel_for_chunks(count, copts, [&](const par::ChunkRange& chunk) {
-        std::vector<double> social, edge_scratch;
-        social.reserve(social_width);
-        edge_scratch.reserve(d);
+        std::optional<SocialFeatureBuilder> social;
+        std::vector<double> heuristic;
+        if (config.use_social_feature)
+          social.emplace(labels.graph, table, social_cfg);
+        std::uint64_t edge_hits = 0;
         for (std::size_t si = chunk.begin; si < chunk.end; ++si) {
           const data::UserPair& pair = u.pairs[u.scored[si]];
           double* row = composite.row(si);
           const double* h = cache.find_presence(pair);
           std::copy(h, h + d, row);
-          if (config.use_social_feature)
-            social_proximity_feature(labels.graph, pair.first, pair.second,
-                                     social_cfg, edge_feature, social,
-                                     edge_scratch);
-          else
+          if (social.has_value()) {
+            edge_hits += social->compute(pair.first, pair.second, row + d);
+          } else {
             heuristic_social_feature(labels.graph, pair.first, pair.second,
-                                     social_cfg, social);
-          std::copy(social.begin(), social.end(), row + d);
+                                     social_cfg, heuristic);
+            std::copy(heuristic.begin(), heuristic.end(), row + d);
+          }
         }
+        cache.count_presence_hits(edge_hits);
       });
+      composite_span.end();
 
+      obs::Span classify_span("core.phase2.classify");
       const std::vector<double> decision =
           classify(composite, u, train_labels, config, iteration);
+      classify_span.end();
       relabel(decision, tune_on_train(decision, u, train_labels), u, labels);
       graph::Graph next = graph_from_predictions(labels.graph.node_count(),
                                                  u, labels.predictions);

@@ -11,6 +11,7 @@
 
 #include <immintrin.h>
 
+#include "kern/dot_body.h"
 #include "kern/gemm_body.h"
 
 namespace fs::kern::detail {
@@ -56,14 +57,47 @@ struct Avx2Arch {
     _mm256_store_pd(acc + 3 * kNr + 4, c31);
   }
 
+  // dot_nt_exact: R rows x one 8-wide panel in 2R ymm accumulators, with a
+  // separate multiply and add per step (never FMA), so each lane is the
+  // sequential exact sum.
+  static constexpr std::size_t kDotMr = 4;
+
+  template <std::size_t R>
+  static void dot_tile(std::size_t k, const double* a, std::size_t lda,
+                       const double* panel, double* acc) {
+    __m256d lo[R], hi[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      lo[r] = _mm256_setzero_pd();
+      hi[r] = _mm256_setzero_pd();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256d b0 = _mm256_load_pd(panel + p * kDotPanel);
+      const __m256d b1 = _mm256_load_pd(panel + p * kDotPanel + 4);
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256d x = _mm256_broadcast_sd(a + r * lda + p);
+        lo[r] = _mm256_add_pd(lo[r], _mm256_mul_pd(x, b0));
+        hi[r] = _mm256_add_pd(hi[r], _mm256_mul_pd(x, b1));
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm256_store_pd(acc + r * kDotPanel, lo[r]);
+      _mm256_store_pd(acc + r * kDotPanel + 4, hi[r]);
+    }
+  }
 };
 
 void gemm_entry(const GemmCall& call) { run_gemm<Avx2Arch>(call); }
 
+void dot_entry(std::size_t m, const double* a, std::size_t lda,
+               const double* panels, std::size_t n, std::size_t k, double* c,
+               std::size_t ldc) {
+  run_dot<Avx2Arch>(m, a, lda, panels, n, k, c, ldc);
+}
+
 }  // namespace
 
 const VTable* vtable_avx2() {
-  static const VTable table{&gemm_entry};
+  static const VTable table{&gemm_entry, &dot_entry};
   return &table;
 }
 

@@ -11,6 +11,7 @@
 
 #include <immintrin.h>
 
+#include "kern/dot_body.h"
 #include "kern/gemm_body.h"
 
 namespace fs::kern::detail {
@@ -50,14 +51,39 @@ struct Avx512Arch {
     _mm512_store_pd(acc + 7 * kNr, c7);
   }
 
+  // dot_nt_exact: R rows x one 8-wide panel, one zmm accumulator per row,
+  // with a separate multiply and add per step (never FMA), so each lane is
+  // the sequential exact sum.
+  static constexpr std::size_t kDotMr = 8;
+
+  template <std::size_t R>
+  static void dot_tile(std::size_t k, const double* a, std::size_t lda,
+                       const double* panel, double* acc) {
+    __m512d c[R];
+    for (std::size_t r = 0; r < R; ++r) c[r] = _mm512_setzero_pd();
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m512d b = _mm512_load_pd(panel + p * kDotPanel);
+      for (std::size_t r = 0; r < R; ++r)
+        c[r] = _mm512_add_pd(
+            c[r], _mm512_mul_pd(_mm512_set1_pd(a[r * lda + p]), b));
+    }
+    for (std::size_t r = 0; r < R; ++r)
+      _mm512_store_pd(acc + r * kDotPanel, c[r]);
+  }
 };
 
 void gemm_entry(const GemmCall& call) { run_gemm<Avx512Arch>(call); }
 
+void dot_entry(std::size_t m, const double* a, std::size_t lda,
+               const double* panels, std::size_t n, std::size_t k, double* c,
+               std::size_t ldc) {
+  run_dot<Avx512Arch>(m, a, lda, panels, n, k, c, ldc);
+}
+
 }  // namespace
 
 const VTable* vtable_avx512() {
-  static const VTable table{&gemm_entry};
+  static const VTable table{&gemm_entry, &dot_entry};
   return &table;
 }
 

@@ -2,9 +2,11 @@
 // measured against. This TU is compiled with -ffp-contract=off so the
 // compiler can never fuse the multiply-add below into an FMA: the
 // reference semantics are exactly "round after multiply, round after add"
-// in ascending-k order, on any host.
+// in ascending-k order, on any host. Its dot_nt_exact tile is the plain
+// sequential loop itself, one accumulator per (row, panel lane).
 #include <cstddef>
 
+#include "kern/dot_body.h"
 #include "kern/gemm_body.h"
 #include "kern/kern_internal.h"
 
@@ -31,14 +33,37 @@ struct ScalarArch {
     for (std::size_t v = 0; v < kMr * kNr; ++v) acc[v] = local[v];
   }
 
+  static constexpr std::size_t kDotMr = 4;
+
+  template <std::size_t R>
+  static void dot_tile(std::size_t k, const double* a, std::size_t lda,
+                       const double* panel, double* acc) {
+    double local[R][kDotPanel] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      const double* col = panel + p * kDotPanel;
+      for (std::size_t r = 0; r < R; ++r) {
+        const double x = a[r * lda + p];
+        for (std::size_t j = 0; j < kDotPanel; ++j) local[r][j] += x * col[j];
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t j = 0; j < kDotPanel; ++j)
+        acc[r * kDotPanel + j] = local[r][j];
+  }
 };
 
 void gemm_entry(const GemmCall& call) { run_gemm<ScalarArch>(call); }
 
+void dot_entry(std::size_t m, const double* a, std::size_t lda,
+               const double* panels, std::size_t n, std::size_t k, double* c,
+               std::size_t ldc) {
+  run_dot<ScalarArch>(m, a, lda, panels, n, k, c, ldc);
+}
+
 }  // namespace
 
 const VTable* vtable_scalar() {
-  static const VTable table{&gemm_entry};
+  static const VTable table{&gemm_entry, &dot_entry};
   return &table;
 }
 

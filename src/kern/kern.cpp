@@ -173,6 +173,37 @@ void gemm(const GemmCall& call) {
   active_vtable()->gemm(call);
 }
 
+DotPanels::DotPanels(std::size_t n, std::size_t k, const double* b,
+                     std::size_t ldb)
+    : n_(n), k_(k) {
+  if (n != 0 && k != 0 && (b == nullptr || ldb < k))
+    throw std::invalid_argument("kern::DotPanels: bad operand");
+  const std::size_t panels = (n + kDotPanel - 1) / kDotPanel;
+  packed_.assign(panels * k * kDotPanel, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double* out = packed_.data() + (j / kDotPanel) * k * kDotPanel +
+                  j % kDotPanel;
+    const double* row = b + j * ldb;
+    for (std::size_t p = 0; p < k; ++p) out[p * kDotPanel] = row[p];
+  }
+}
+
+void dot_nt_exact(std::size_t m, const double* a, std::size_t lda,
+                  const DotPanels& b, double* c, std::size_t ldc,
+                  std::size_t j_begin) {
+  if (j_begin % kDotPanel != 0 || j_begin > b.rows())
+    throw std::invalid_argument("kern::dot_nt_exact: bad column start");
+  const std::size_t n = b.rows() - j_begin;
+  if (m == 0 || n == 0) return;
+  if (c == nullptr || ldc < n)
+    throw std::invalid_argument("kern::dot_nt_exact: bad output");
+  if (b.depth() != 0 && (a == nullptr || lda < b.depth()))
+    throw std::invalid_argument("kern::dot_nt_exact: bad operand");
+  // Panel j_begin / kDotPanel starts kDotPanel * depth doubles per panel in.
+  active_vtable()->dot_nt_exact(m, a, lda, b.data() + j_begin * b.depth(), n,
+                                b.depth(), c, ldc);
+}
+
 namespace {
 
 GemmCall make_call(std::size_t m, std::size_t n, std::size_t k,

@@ -40,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "util/aligned.h"
+
 namespace fs::kern {
 
 // ---------------------------------------------------------------------------
@@ -133,5 +135,47 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
 /// Raw entry point behind the three wrappers; kSgdStep callers
 /// (nn::Dense) and kernel_bench build a GemmCall directly.
 void gemm(const GemmCall& call);
+
+// ---------------------------------------------------------------------------
+// Exact dot products
+// ---------------------------------------------------------------------------
+//
+// GEMM's FMA micro-kernels and KC blocking make its entries differ in the
+// last bits from the sequential `acc += x[p] * y[p]` the SVM's RBF
+// distances are defined by. dot_nt_exact computes the same all-pairs dots
+// as gemm_nt, but each entry is that loop: from 0.0, ascending p, each
+// multiply and add rounded separately (no FMA intrinsics; the TUs build
+// with -ffp-contract=off). Its speed comes only from independent entries
+// in the vector lanes of a register tile, so it is bit-identical to the
+// plain loop on every path.
+
+/// Rows of B per packed panel (the same on every path).
+inline constexpr std::size_t kDotPanel = 8;
+
+/// B (n x k, row-major, leading dimension ldb) packed for dot_nt_exact:
+/// panels of kDotPanel rows, each stored p-major (one kDotPanel-wide
+/// column per p), the last panel zero-padded. Pack once, then call
+/// dot_nt_exact with it from any number of threads.
+class DotPanels {
+ public:
+  DotPanels(std::size_t n, std::size_t k, const double* b, std::size_t ldb);
+
+  std::size_t rows() const { return n_; }
+  std::size_t depth() const { return k_; }
+  const double* data() const { return packed_.data(); }
+
+ private:
+  std::size_t n_ = 0;
+  std::size_t k_ = 0;
+  std::vector<double, util::AlignedAllocator<double>> packed_;
+};
+
+/// C(i, j - j_begin) = sum_p A(i, p) * B(j, p) for an m x depth A (lda)
+/// and the packed B's rows j in [j_begin, rows): the sequential exact sum
+/// described above. j_begin must be a multiple of kDotPanel. Runs on the
+/// calling thread; callers spread row tiles over fs::par themselves.
+void dot_nt_exact(std::size_t m, const double* a, std::size_t lda,
+                  const DotPanels& b, double* c, std::size_t ldc,
+                  std::size_t j_begin = 0);
 
 }  // namespace fs::kern

@@ -15,6 +15,10 @@ namespace fs::kern::detail {
 
 struct VTable {
   void (*gemm)(const GemmCall& call);
+  /// dot_nt_exact over packed panels (see dot_body.h).
+  void (*dot_nt_exact)(std::size_t m, const double* a, std::size_t lda,
+                       const double* panels, std::size_t n, std::size_t k,
+                       double* c, std::size_t ldc);
 };
 
 /// Always available; the golden reference.

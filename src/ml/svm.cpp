@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "kern/kern.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
@@ -16,6 +17,12 @@
 namespace fs::ml {
 
 namespace {
+
+// Rows per fs::par chunk of the Gram fill and the batched decision: one
+// kern::dot_nt_exact call each, over a tile of rows against all columns.
+constexpr std::size_t kDotTileRows = 32;
+static_assert(kDotTileRows % kern::kDotPanel == 0,
+              "Gram tiles start on a packed-panel boundary");
 
 double dot(const double* x, const double* y, std::size_t dim) {
   double acc = 0.0;
@@ -42,10 +49,9 @@ SvmClassifier::SvmClassifier(const SvmConfig& config) : config_(config) {
     throw std::invalid_argument("SvmClassifier: C must be > 0");
 }
 
-double SvmClassifier::kernel_to_support(std::size_t sv, const double* query,
-                                        double query_norm) const {
-  const double dist = support_norms_[sv] + query_norm -
-                      2.0 * dot(support_.row(sv), query, support_.cols());
+double SvmClassifier::kernel_from_dot(std::size_t sv, double query_norm,
+                                      double dot_product) const {
+  const double dist = support_norms_[sv] + query_norm - 2.0 * dot_product;
   return std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
 }
 
@@ -116,24 +122,32 @@ void SvmClassifier::fit(const nn::Matrix& features,
   }
 
   // Precomputed kernel matrix (symmetric; memory guarded by max_train_rows
-  // and charged against the run's memory budget when governed). Cached row
-  // norms turn each RBF entry into one dot product; rows fan out over the
-  // pool filling the upper triangle, then a mirror pass copies it down.
+  // and charged, with the packed rows, against the run's memory budget when
+  // governed). Cached row norms turn each RBF entry into one dot product.
+  // Row tiles fan out over the pool: each writes the exact dot products of
+  // its rows with every later row straight into K (kern::dot_nt_exact,
+  // bit-identical to the sequential dot) and turns its upper triangle into
+  // RBF values in place; a mirror pass then copies the upper triangle down
+  // over the raw dots left below it.
   const runtime::MemoryCharge kernel_charge(
-      config_.context, n * n * sizeof(double), "ml.svm.kernel");
+      config_.context, (n * n + n * dim) * sizeof(double), "ml.svm.kernel");
   const std::vector<double> norms = row_squared_norms(features);
   nn::Matrix K(n, n);
+  const kern::DotPanels columns(n, dim, features.data(), dim);
   par::ParallelOptions kopts;
   kopts.context = config_.context;
   kopts.what = "ml.svm.kernel";
-  kopts.grain = par::grain_for(n * dim / 2 + 1);
-  par::parallel_for(n, kopts, [&](std::size_t i) {
-    K(i, i) = 1.0;
-    const double* xi = features.row(i);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dist =
-          norms[i] + norms[j] - 2.0 * dot(xi, features.row(j), dim);
-      K(i, j) = std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+  kopts.grain = kDotTileRows;  // a multiple of kern::kDotPanel
+  par::parallel_for_chunks(n, kopts, [&](const par::ChunkRange& tile) {
+    const std::size_t i0 = tile.begin;
+    kern::dot_nt_exact(tile.end - i0, features.row(i0), dim, columns,
+                       &K(i0, i0), n, i0);
+    for (std::size_t i = i0; i < tile.end; ++i) {
+      K(i, i) = 1.0;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double dist = norms[i] + norms[j] - 2.0 * K(i, j);
+        K(i, j) = std::exp(-gamma_ * (dist > 0.0 ? dist : 0.0));
+      }
     }
   });
   for (std::size_t i = 0; i < n; ++i)
@@ -332,22 +346,46 @@ double SvmClassifier::decision(const double* query) const {
   const std::size_t dim = support_.cols();
   const double query_norm = dot(query, query, dim);
   for (std::size_t s = 0; s < support_.rows(); ++s)
-    f += alpha_y_[s] * kernel_to_support(s, query, query_norm);
+    f += alpha_y_[s] *
+         kernel_from_dot(s, query_norm, dot(support_.row(s), query, dim));
   return f;
 }
 
 std::vector<double> SvmClassifier::decision(const nn::Matrix& queries) const {
   if (queries.cols() != support_.cols())
     throw std::invalid_argument("SvmClassifier: query width mismatch");
+  if (!trained_ && queries.rows() != 0)
+    throw std::logic_error("SvmClassifier: predict before fit");
+  obs::Span span("ml.svm.decision");
+  span.arg("rows", static_cast<double>(queries.rows()));
+  span.arg("support", static_cast<double>(support_.rows()));
+  const std::size_t n_sv = support_.rows();
+  const std::size_t dim = support_.cols();
   std::vector<double> out(queries.rows());
-  // Full-universe evaluation is the phase-2 hot path: queries fan out over
-  // the pool, each row scanning every support vector independently.
+  // Full-universe evaluation is the phase-2 hot path. Row tiles fan out
+  // over the pool; each computes its exact dot products with every support
+  // vector in one kernel call (bit-identical to the per-row sequential
+  // dot), then finishes row by row exactly like decision(const double*).
+  const kern::DotPanels support(n_sv, dim, support_.data(), dim);
   par::ParallelOptions popts;
   popts.context = config_.context;
   popts.what = "ml.svm.decision";
-  popts.grain = par::grain_for(support_.rows() * support_.cols() + 1);
-  par::parallel_for(queries.rows(), popts, [&](std::size_t r) {
-    out[r] = decision(queries.row(r));
+  popts.grain = kDotTileRows;
+  popts.scratch_bytes_per_worker = kDotTileRows * n_sv * sizeof(double);
+  par::parallel_for_chunks(queries.rows(), popts,
+                           [&](const par::ChunkRange& tile) {
+    std::vector<double> dots((tile.end - tile.begin) * n_sv);
+    kern::dot_nt_exact(tile.end - tile.begin, queries.row(tile.begin), dim,
+                       support, dots.data(), n_sv);
+    for (std::size_t r = tile.begin; r < tile.end; ++r) {
+      const double* query = queries.row(r);
+      const double* row_dots = dots.data() + (r - tile.begin) * n_sv;
+      const double query_norm = dot(query, query, dim);
+      double f = bias_;
+      for (std::size_t s = 0; s < n_sv; ++s)
+        f += alpha_y_[s] * kernel_from_dot(s, query_norm, row_dots[s]);
+      out[r] = f;
+    }
   });
   obs::metrics()
       .counter("ml.svm.decisions_total", {}, "SVM decision-function queries")

@@ -85,12 +85,12 @@ class SvmClassifier {
   bool trained() const { return trained_; }
 
  private:
-  /// RBF between a support vector (by index) and a query with precomputed
-  /// squared norms: ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y, clamped at 0 (the
-  /// expansion can go epsilon-negative where the direct difference
-  /// cannot).
-  double kernel_to_support(std::size_t sv, const double* query,
-                           double query_norm) const;
+  /// RBF between a support vector (by index) and a query, from the query's
+  /// squared norm and their dot product: ‖x−y‖² = ‖x‖² + ‖y‖² − 2·x·y,
+  /// clamped at 0 (the expansion can go epsilon-negative where the direct
+  /// difference cannot).
+  double kernel_from_dot(std::size_t sv, double query_norm,
+                         double dot_product) const;
   /// Rebuilds support_norms_ from support_ (after fit and load).
   void cache_support_norms();
 

@@ -1,6 +1,7 @@
 #include "scenario/runner.h"
 
 #include <chrono>
+#include <deque>
 #include <map>
 #include <utility>
 
@@ -150,6 +151,12 @@ MatrixResult run_scenario(const ScenarioConfig& config,
   // split — ground truth never changes, only the published check-ins.
   std::map<std::string, eval::Experiment> clean_cache;
   std::map<std::string, eval::Experiment> variant_cache;
+  // One execution context per cell, so each cell's peak_memory_bytes is its
+  // own. The shared cache keeps its arena charges on the context of the
+  // cell that last prepared it and moves them at the next cell's prepare,
+  // so every context must outlive the cache: the deque is declared first
+  // (destroyed last) and never moves its elements.
+  std::deque<runtime::ExecutionContext> contexts;
   block::FeatureCache feature_cache;
   block::FeatureCache::Stats last_totals;
 
@@ -192,7 +199,7 @@ MatrixResult run_scenario(const ScenarioConfig& config,
     core::FriendSeekerConfig seeker =
         resolve_seeker(cell.world, cell.attack, cell.model, config.seed);
     seeker.feature_cache = &feature_cache;
-    runtime::ExecutionContext context;
+    runtime::ExecutionContext& context = contexts.emplace_back();
     seeker.context = &context;
 
     par::set_threads(cell.attack.threads != 0 ? cell.attack.threads

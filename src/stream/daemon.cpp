@@ -83,8 +83,8 @@ RecoveryInfo ServeDaemon::recover() {
   journal_ = std::make_unique<JournalWriter>(journal_path());
   if (config_.diagnostics != nullptr &&
       (info.snapshot_used || info.journal_frames_replayed > 0))
-    config_.diagnostics->report(
-        util::Severity::kInfo, ErrorCode::kIo, "stream",
+    config_.diagnostics->info(
+        "stream",
         "recovered " + std::to_string(consumed) + " consumed lines (snapshot " +
             (info.snapshot_used ? "used" : "absent") + ", " +
             std::to_string(info.journal_frames_replayed) +

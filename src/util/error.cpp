@@ -49,6 +49,13 @@ void Diagnostics::report(Severity severity, ErrorCode code,
                                 std::move(message), monotonic_seconds()});
 }
 
+void Diagnostics::info(std::string component, std::string message) {
+  log(LogLevel::kInfo, component, ": ", message);
+  entries_.push_back(Diagnostic{Severity::kInfo, std::nullopt,
+                                std::move(component), std::move(message),
+                                monotonic_seconds()});
+}
+
 std::size_t Diagnostics::count(Severity severity) const {
   std::size_t n = 0;
   for (const Diagnostic& d : entries_) n += (d.severity == severity);
@@ -60,9 +67,9 @@ std::string Diagnostics::to_string() const {
   for (const Diagnostic& d : entries_) {
     char stamp[32];
     std::snprintf(stamp, sizeof(stamp), "[%8.2fs]", d.ts_sec);
-    oss << stamp << " [" << severity_name(d.severity) << "] "
-        << error_code_name(d.code) << ' ' << d.component << ": " << d.message
-        << '\n';
+    oss << stamp << " [" << severity_name(d.severity) << "] ";
+    if (d.code.has_value()) oss << error_code_name(*d.code) << ' ';
+    oss << d.component << ": " << d.message << '\n';
   }
   return oss.str();
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -106,7 +107,8 @@ const char* severity_name(Severity severity);
 
 struct Diagnostic {
   Severity severity = Severity::kInfo;
-  ErrorCode code = ErrorCode::kIo;
+  /// What went wrong; empty for an informational event (nothing did).
+  std::optional<ErrorCode> code;
   std::string component;  // e.g. "loader", "autoencoder", "pipeline"
   std::string message;
   /// Seconds since process start (util::monotonic_seconds) when the event
@@ -120,13 +122,16 @@ class Diagnostics {
  public:
   void report(Severity severity, ErrorCode code, std::string component,
               std::string message);
+  /// An informational event: severity info and no error code.
+  void info(std::string component, std::string message);
 
   const std::vector<Diagnostic>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   std::size_t count(Severity severity) const;
   bool has_errors() const { return count(Severity::kError) > 0; }
 
-  /// One line per entry: "[severity] code component: message".
+  /// One line per entry: "[severity] code component: message" (no code
+  /// for an informational event).
   std::string to_string() const;
 
   void clear() { entries_.clear(); }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 
 #include "core/joc.h"
 #include "core/pipeline.h"
@@ -8,7 +10,9 @@
 #include "core/social.h"
 #include "data/synthetic.h"
 #include "eval/pairs.h"
+#include "graph/khop.h"
 #include "ml/metrics.h"
+#include "util/rng.h"
 
 namespace fs::core {
 namespace {
@@ -203,6 +207,119 @@ TEST(Presence, PredictBeforeTrainThrows) {
 
 // ---------- social proximity features ----------
 
+/// Feature rows keyed by canonical edge; edges without an entry have none.
+using EdgeRows = std::map<graph::Edge, std::vector<double>>;
+
+EdgeFeatureTable table_of(const graph::Graph& g, std::size_t dim,
+                          const EdgeRows& rows) {
+  return make_edge_feature_table(
+      g, dim, [&](graph::NodeId v, graph::NodeId w) -> const double* {
+        const auto it = rows.find(graph::Edge(v, w));
+        return it == rows.end() ? nullptr : it->second.data();
+      });
+}
+
+std::vector<double> social_feature(const graph::Graph& g, data::UserId a,
+                                   data::UserId b,
+                                   const SocialFeatureConfig& cfg,
+                                   const EdgeRows& rows) {
+  const EdgeFeatureTable table = table_of(g, cfg.feature_dim, rows);
+  SocialFeatureBuilder builder(g, table, cfg);
+  std::vector<double> s(static_cast<std::size_t>(cfg.k - 1) *
+                        cfg.feature_dim);
+  builder.compute(a, b, s.data());
+  return s;
+}
+
+/// Every edge of `g` gets the same row.
+EdgeRows constant_rows(const graph::Graph& g, std::vector<double> row) {
+  EdgeRows rows;
+  for (const graph::Edge& e : g.edges()) rows[e] = row;
+  return rows;
+}
+
+/// The path-list definition of s_(a,b): sum each materialized path's edge
+/// rows from graph::extract_khop_subgraph, counting the edge visits that
+/// find a row (the cache probes a per-edge lookup would book as hits).
+struct PathListFeature {
+  std::vector<double> s;
+  std::uint64_t visits = 0;
+};
+
+PathListFeature path_list_oracle(const graph::Graph& g, data::UserId a,
+                                 data::UserId b,
+                                 const SocialFeatureConfig& cfg,
+                                 const EdgeRows& rows) {
+  graph::KHopOptions khop = cfg.khop;
+  khop.k = cfg.k;
+  const graph::KHopSubgraph sub = graph::extract_khop_subgraph(g, a, b, khop);
+  PathListFeature out;
+  out.s.assign(static_cast<std::size_t>(cfg.k - 1) * cfg.feature_dim, 0.0);
+  for (std::size_t bucket = 0; bucket < sub.paths_by_length.size();
+       ++bucket) {
+    double* slot = out.s.data() + bucket * cfg.feature_dim;
+    for (const graph::Path& path : sub.paths_by_length[bucket])
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        const auto it = rows.find(graph::Edge(path[i], path[i + 1]));
+        if (it == rows.end()) continue;
+        for (std::size_t c = 0; c < cfg.feature_dim; ++c)
+          slot[c] += it->second[c];
+        ++out.visits;
+      }
+  }
+  return out;
+}
+
+/// Random graph on `nodes` vertices with edge probability `density`; each
+/// edge gets a random row unless it lands in the `featureless` share.
+struct RandomCase {
+  graph::Graph g;
+  EdgeRows rows;
+};
+
+RandomCase random_case(util::Rng& rng, std::size_t nodes, double density,
+                       double featureless, std::size_t dim) {
+  RandomCase c{graph::Graph(nodes), {}};
+  for (graph::NodeId v = 0; v < nodes; ++v)
+    for (graph::NodeId w = v + 1; w < nodes; ++w)
+      if (rng.uniform() < density) c.g.add_edge(v, w);
+  for (const graph::Edge& e : c.g.edges()) {
+    if (rng.uniform() < featureless) continue;
+    std::vector<double>& row = c.rows[e];
+    for (std::size_t i = 0; i < dim; ++i) row.push_back(rng.normal(0.0, 1.0));
+  }
+  return c;
+}
+
+/// Checks every ordered pair of `c` against the oracle, bit for bit, and
+/// returns how many pairs had a path-capped length.
+std::size_t expect_matches_oracle(const RandomCase& c,
+                                  const SocialFeatureConfig& cfg) {
+  const EdgeFeatureTable table = table_of(c.g, cfg.feature_dim, c.rows);
+  SocialFeatureBuilder builder(c.g, table, cfg);
+  std::vector<double> s(static_cast<std::size_t>(cfg.k - 1) *
+                        cfg.feature_dim);
+  std::size_t capped = 0;
+  for (graph::NodeId a = 0; a < c.g.node_count(); ++a)
+    for (graph::NodeId b = 0; b < c.g.node_count(); ++b) {
+      if (a == b) continue;
+      const std::uint64_t visits = builder.compute(a, b, s.data());
+      const PathListFeature want = path_list_oracle(c.g, a, b, cfg, c.rows);
+      EXPECT_EQ(visits, want.visits) << "pair " << a << "," << b;
+      EXPECT_EQ(std::memcmp(s.data(), want.s.data(), s.size() * sizeof(double)),
+                0)
+          << "pair " << a << "," << b;
+      graph::KHopOptions khop = cfg.khop;
+      khop.k = cfg.k;
+      for (std::size_t n : graph::khop_path_counts(c.g, a, b, khop))
+        if (n == cfg.khop.max_paths_per_length) {
+          ++capped;
+          break;
+        }
+    }
+  return capped;
+}
+
 TEST(Social, SumsEdgeFeaturesByPathLength) {
   // Graph: 0-2-1 (one 2-path) and 0-3-4-1 (one 3-path).
   graph::Graph g(5);
@@ -215,12 +332,7 @@ TEST(Social, SumsEdgeFeaturesByPathLength) {
   cfg.k = 3;
   cfg.feature_dim = 2;
   // Every edge has feature [1, 10].
-  EdgeFeatureFn constant = [](data::UserId, data::UserId,
-                              std::vector<double>& out) {
-    out = {1.0, 10.0};
-    return true;
-  };
-  const auto s = social_proximity_feature(g, 0, 1, cfg, constant);
+  const auto s = social_feature(g, 0, 1, cfg, constant_rows(g, {1.0, 10.0}));
   ASSERT_EQ(s.size(), 4u);  // (k-1) * d
   // Length-2 slot: one path with 2 edges -> [2, 20].
   EXPECT_DOUBLE_EQ(s[0], 2.0);
@@ -237,15 +349,13 @@ TEST(Social, MissingEdgeFeaturesContributeNothing) {
   SocialFeatureConfig cfg;
   cfg.k = 3;
   cfg.feature_dim = 1;
-  EdgeFeatureFn only02 = [](data::UserId a, data::UserId b,
-                            std::vector<double>& out) {
-    if (data::make_pair_ordered(a, b) == data::UserPair{0, 2}) {
-      out = {5.0};
-      return true;
-    }
-    return false;
-  };
-  const auto s = social_proximity_feature(g, 0, 1, cfg, only02);
+  // Only edge (0,2) has a row; the path still counts, so its last edge
+  // (2,1) being featureless must not hide the first one.
+  const EdgeRows only02 = {{graph::Edge(0, 2), {5.0}}};
+  const EdgeFeatureTable table = table_of(g, 1, only02);
+  SocialFeatureBuilder builder(g, table, cfg);
+  std::vector<double> s(2);
+  EXPECT_EQ(builder.compute(0, 1, s.data()), 1u);
   EXPECT_DOUBLE_EQ(s[0], 5.0);  // only edge (0,2) contributes
   EXPECT_DOUBLE_EQ(s[1], 0.0);
 }
@@ -257,13 +367,12 @@ TEST(Social, WrongFeatureWidthThrows) {
   SocialFeatureConfig cfg;
   cfg.k = 3;
   cfg.feature_dim = 2;
-  EdgeFeatureFn bad = [](data::UserId, data::UserId,
-                         std::vector<double>& out) {
-    out = {1.0};  // width 1, expected 2
-    return true;
-  };
-  EXPECT_THROW(social_proximity_feature(g, 0, 1, cfg, bad),
-               std::logic_error);
+  const EdgeFeatureTable table = table_of(g, 1, constant_rows(g, {1.0}));
+  EXPECT_THROW(SocialFeatureBuilder(g, table, cfg), std::logic_error);
+  // A table built for another graph is rejected the same way.
+  graph::Graph other(4);
+  const EdgeFeatureTable foreign = table_of(other, 2, {});
+  EXPECT_THROW(SocialFeatureBuilder(g, foreign, cfg), std::logic_error);
 }
 
 TEST(Social, EmptySubgraphGivesZeroVector) {
@@ -271,13 +380,52 @@ TEST(Social, EmptySubgraphGivesZeroVector) {
   SocialFeatureConfig cfg;
   cfg.k = 3;
   cfg.feature_dim = 3;
-  EdgeFeatureFn constant = [](data::UserId, data::UserId,
-                              std::vector<double>& out) {
-    out = {1.0, 1.0, 1.0};
-    return true;
-  };
-  const auto s = social_proximity_feature(g, 0, 1, cfg, constant);
+  const auto s = social_feature(g, 0, 1, cfg, {});
+  ASSERT_EQ(s.size(), 6u);
   for (double v : s) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(Social, TableMatchesPathListOracleOnRandomGraphs) {
+  util::Rng rng(1606);
+  for (int k : {2, 3, 4})
+    for (double density : {0.15, 0.4})
+      for (double featureless : {0.0, 0.3}) {
+        SocialFeatureConfig cfg;
+        cfg.k = k;
+        cfg.feature_dim = 5;
+        expect_matches_oracle(random_case(rng, 14, density, featureless, 5),
+                              cfg);
+      }
+}
+
+TEST(Social, PathCapMatchesOracle) {
+  util::Rng rng(29);
+  SocialFeatureConfig cfg;
+  cfg.k = 3;
+  cfg.feature_dim = 3;
+  cfg.khop.max_paths_per_length = 3;
+  const RandomCase c = random_case(rng, 16, 0.6, 0.2, 3);
+  EXPECT_GT(expect_matches_oracle(c, cfg), 0u) << "the cap never triggered";
+}
+
+TEST(Social, HubOnLengthTwoPathLeavesLongerPaths) {
+  // Hub 2 sits on the 2-path 0-2-1 and on the 3-path 0-2-3-1; Theorem 1's
+  // exclusion drops the latter, so only 0-4-5-1 is a 3-path.
+  graph::Graph g(6);
+  for (auto [v, w] : {std::pair{0, 2}, {2, 1}, {2, 3}, {3, 1}, {0, 4},
+                      {4, 5}, {5, 1}})
+    g.add_edge(static_cast<graph::NodeId>(v), static_cast<graph::NodeId>(w));
+  SocialFeatureConfig cfg;
+  cfg.k = 3;
+  cfg.feature_dim = 1;
+  EdgeRows rows;
+  for (const graph::Edge& e : g.edges())
+    rows[e] = {static_cast<double>(1u << (e.a + e.b))};
+  const RandomCase c{g, rows};
+  expect_matches_oracle(c, cfg);
+  const auto s = social_feature(g, 0, 1, cfg, rows);
+  EXPECT_DOUBLE_EQ(s[0], 4.0 + 8.0);          // (0,2) + (2,1)
+  EXPECT_DOUBLE_EQ(s[1], 16.0 + 512.0 + 64.0);  // (0,4) + (4,5) + (5,1)
 }
 
 TEST(Social, HeuristicFeatureHasSameWidth) {

@@ -224,6 +224,48 @@ TEST_F(FailpointTest, PipelineCheckpointsAndResumes) {
   (void)before;
 }
 
+/// The informational pipeline diagnostic whose message contains `text`.
+const util::Diagnostic* find_info(const core::FriendSeekerResult& result,
+                                  const std::string& text) {
+  for (const util::Diagnostic& d : result.diagnostics.entries())
+    if (d.component == "pipeline" &&
+        d.message.find(text) != std::string::npos)
+      return &d;
+  return nullptr;
+}
+
+TEST_F(FailpointTest, ResumeDiagnosticsCarryNoErrorCode) {
+  SmallExperiment exp = make_small_experiment();
+  const std::string dir = testing::TempDir() + "/fs_fp_resume_info";
+  std::filesystem::remove_all(dir);
+  exp.config.checkpoint_dir = dir;
+  exp.config.max_iterations = 1;
+  exp.config.resume = true;
+
+  // No checkpoint yet: a fresh start is news, not an I/O failure.
+  core::FriendSeeker fresh(exp.config);
+  const auto first = fresh.run(exp.dataset, exp.split.train_pairs,
+                               exp.split.train_labels, exp.split.test_pairs);
+  const util::Diagnostic* started = find_info(first, "starting fresh");
+  ASSERT_NE(started, nullptr);
+  EXPECT_EQ(started->severity, util::Severity::kInfo);
+  EXPECT_FALSE(started->code.has_value());
+
+  exp.config.max_iterations = 2;
+  core::FriendSeeker second(exp.config);
+  const auto resumed =
+      second.run(exp.dataset, exp.split.train_pairs, exp.split.train_labels,
+                 exp.split.test_pairs);
+  ASSERT_EQ(resumed.resumed_from_iteration, 1);
+  const util::Diagnostic* note =
+      find_info(resumed, "resumed from checkpoint at iteration 1");
+  ASSERT_NE(note, nullptr);
+  EXPECT_EQ(note->severity, util::Severity::kInfo);
+  EXPECT_FALSE(note->code.has_value());
+  EXPECT_EQ(resumed.diagnostics.to_string().find("IoError"),
+            std::string::npos);
+}
+
 TEST_F(FailpointTest, PipelineSurvivesCheckpointSaveFailure) {
   SmallExperiment exp = make_small_experiment();
   const std::string dir = testing::TempDir() + "/fs_fp_savefail";

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -335,6 +336,99 @@ TEST(KernGemm, RejectsMalformedCalls) {
   // The step always reads C, so "accumulate" has no meaning for it.
   EXPECT_THROW(gemm_nn(2, 2, 2, a.data(), 2, b.data(), 2, c.data(), 2,
                        true, Epilogue::kSgdStep),
+               std::invalid_argument);
+}
+
+// ---------- exact dot products ----------
+
+// The definition dot_nt_exact must reproduce bit for bit on every path:
+// the sequential loop from 0.0, one rounded multiply and one rounded add
+// per step (this TU does not enable FMA, so nothing fuses).
+double sequential_dot(const double* x, const double* y, std::size_t k) {
+  double acc = 0.0;
+  for (std::size_t p = 0; p < k; ++p) acc += x[p] * y[p];
+  return acc;
+}
+
+// Computes rows [0, m) x columns [j_begin, n) on `path` into a C with two
+// padding columns, and checks every entry against the sequential dot and
+// that the padding is untouched.
+void expect_exact_dots(IsaPath path, std::size_t m, std::size_t n,
+                       std::size_t k, std::size_t j_begin, util::Rng& rng) {
+  const std::size_t lda = k + 3, ldb = k + 1;  // ragged leading dimensions
+  // Mixed magnitudes make one rounding more or less visible in the bits.
+  std::vector<double> a(m * lda), b(n * ldb);
+  for (double& v : a) v = rng.normal(0.0, 1.0) * std::ldexp(1.0, rng.index(9));
+  for (double& v : b) v = rng.normal(0.0, 1.0) / 3.0;
+  const DotPanels panels(n, k, b.data(), ldb);
+  const std::size_t cols = n - j_begin, ldc = cols + 2;
+  std::vector<double> c(m * ldc, -7.25);
+  PathGuard guard(path);
+  dot_nt_exact(m, a.data(), lda, panels, c.data(), ldc, j_begin);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      const double want =
+          sequential_dot(a.data() + i * lda, b.data() + (j_begin + j) * ldb, k);
+      ASSERT_EQ(std::memcmp(&c[i * ldc + j], &want, sizeof(double)), 0)
+          << path_name(path) << " m=" << m << " n=" << n << " k=" << k
+          << " j_begin=" << j_begin << " at (" << i << ", " << j
+          << "): " << c[i * ldc + j] << " vs " << want;
+    }
+    EXPECT_EQ(c[i * ldc + cols], -7.25);
+    EXPECT_EQ(c[i * ldc + cols + 1], -7.25);
+  }
+}
+
+TEST(KernDotExact, EveryPathEqualsSequentialDotBitForBit) {
+  util::Rng rng(1606);
+  for (IsaPath path : supported_paths())
+    for (std::size_t m : {1, 3, 4, 7, 8, 9, 33})
+      for (std::size_t n : {1, 5, 8, 9, 17, 70})
+        for (std::size_t k : {0, 1, 2, 7, 144, 301})
+          expect_exact_dots(path, m, n, k, 0, rng);
+}
+
+TEST(KernDotExact, ColumnStartSkipsWholePanels) {
+  util::Rng rng(1607);
+  for (IsaPath path : supported_paths())
+    for (std::size_t j_begin : {8, 16, 40}) {
+      expect_exact_dots(path, 11, 41, 23, j_begin, rng);
+      expect_exact_dots(path, 5, j_begin, 9, j_begin, rng);  // no columns
+    }
+}
+
+TEST(KernDotExact, RowSplitsNeverChangeTheBits) {
+  // The kernel runs on the calling thread; its callers tile over fs::par.
+  // Rows computed in separate calls equal rows computed in one.
+  util::Rng rng(1608);
+  const std::size_t m = 45, n = 29, k = 66;
+  std::vector<double> a = random_values(m * k, rng);
+  std::vector<double> b = random_values(n * k, rng);
+  const DotPanels panels(n, k, b.data(), k);
+  std::vector<double> whole(m * n), split(m * n);
+  dot_nt_exact(m, a.data(), k, panels, whole.data(), n);
+  for (std::size_t i0 = 0; i0 < m; i0 += 10)
+    dot_nt_exact(std::min<std::size_t>(10, m - i0), a.data() + i0 * k, k,
+                 panels, split.data() + i0 * n, n);
+  EXPECT_EQ(std::memcmp(whole.data(), split.data(),
+                        whole.size() * sizeof(double)),
+            0);
+}
+
+TEST(KernDotExact, RejectsMalformedCalls) {
+  std::vector<double> a(32, 1.0), b(32, 1.0), c(32);
+  const DotPanels panels(4, 4, b.data(), 4);
+  EXPECT_THROW(DotPanels(4, 4, nullptr, 4), std::invalid_argument);
+  EXPECT_THROW(DotPanels(4, 4, b.data(), 3), std::invalid_argument);
+  EXPECT_THROW(dot_nt_exact(2, nullptr, 4, panels, c.data(), 4),
+               std::invalid_argument);
+  EXPECT_THROW(dot_nt_exact(2, a.data(), 3, panels, c.data(), 4),
+               std::invalid_argument);
+  EXPECT_THROW(dot_nt_exact(2, a.data(), 4, panels, c.data(), 3),
+               std::invalid_argument);
+  EXPECT_THROW(dot_nt_exact(2, a.data(), 4, panels, c.data(), 4, 3),
+               std::invalid_argument);
+  EXPECT_THROW(dot_nt_exact(2, a.data(), 4, panels, c.data(), 4, 16),
                std::invalid_argument);
 }
 

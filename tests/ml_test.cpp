@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "kern/kern.h"
 #include "ml/knn.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
@@ -531,6 +532,69 @@ TEST(SvmOracle, ParallelFillsMatchSerialOracle) {
   SvmConfig cfg;
   cfg.max_iterations = 20;
   expect_oracle_trajectory(x, y, cfg);
+}
+
+// Pins a kernel path for one test body, restoring the previous one after.
+class KernelPathGuard {
+ public:
+  explicit KernelPathGuard(kern::IsaPath path)
+      : previous_(kern::active_path()) {
+    kern::force_path(path);
+  }
+  ~KernelPathGuard() { kern::force_path(previous_); }
+  KernelPathGuard(const KernelPathGuard&) = delete;
+  KernelPathGuard& operator=(const KernelPathGuard&) = delete;
+
+ private:
+  kern::IsaPath previous_;
+};
+
+// The Gram fill's row tiles run kern::dot_nt_exact on every kernel path;
+// rows and width are ragged against its 32-row tiles and 8-row panels.
+TEST(SvmOracle, GramOnEveryKernelPathMatchesSerialOracle) {
+  util::Rng rng(251);
+  const std::size_t n = 77, dim = 13;
+  nn::Matrix x(n, dim);
+  std::vector<int> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = static_cast<int>(i % 3 == 0);
+    for (std::size_t c = 0; c < dim; ++c)
+      x(i, c) = rng.normal(y[i] && c < 4 ? 0.8 : 0.0, 1.0);
+  }
+  for (const kern::IsaPath path : kern::supported_paths()) {
+    SCOPED_TRACE(kern::path_name(path));
+    KernelPathGuard guard(path);
+    expect_oracle_trajectory(x, y, SvmConfig{});
+  }
+}
+
+TEST(Svm, BatchedDecisionEqualsPerRowOnEveryPath) {
+  util::Rng rng(257);
+  const std::size_t dim = 21;
+  nn::Matrix x(150, dim);
+  std::vector<int> y(150);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    y[i] = static_cast<int>(i % 2);
+    for (std::size_t c = 0; c < dim; ++c)
+      x(i, c) = rng.normal(y[i] && c < 5 ? 0.7 : 0.0, 1.0);
+  }
+  nn::Matrix queries(101, dim);  // several 32-row tiles plus a short one
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    queries.data()[i] = rng.normal(0.0, 1.5);
+  SvmClassifier svm;
+  svm.fit(x, y);
+  ASSERT_GT(svm.support_vector_count(), 8u);
+  for (const kern::IsaPath path : kern::supported_paths()) {
+    SCOPED_TRACE(kern::path_name(path));
+    KernelPathGuard guard(path);
+    const std::vector<double> batched = svm.decision(queries);
+    ASSERT_EQ(batched.size(), queries.rows());
+    for (std::size_t r = 0; r < queries.rows(); ++r) {
+      const double single = svm.decision(queries.row(r));
+      EXPECT_EQ(std::memcmp(&batched[r], &single, sizeof(double)), 0)
+          << "row " << r << ": " << batched[r] << " vs " << single;
+    }
+  }
 }
 
 TEST(SvmOracle, CacheSkipsMostExactScans) {

@@ -11,8 +11,11 @@
 // 1380 -> 320 -> 48, batch 16): the mini-batch forward GEMMs, the
 // input-gradient GEMM, the fused SGD-step GEMMs on the two big weight
 // matrices, and the corpus-wide encode (m = 3,426 labeled pairs), plus a
-// square stress shape. --quick shrinks reps and drops the large shapes for
-// CI smoke.
+// square stress shape. Beside the GEMM sweep, each path also times
+// kern::dot_nt_exact, the FMA-free exact dot product of the SVM's RBF
+// kernel, on the attack-full phase-2 decision shape (row tiles x ~970
+// support vectors x 144 features) and an SMO Gram tile. --quick shrinks
+// reps and drops the large shapes for CI smoke.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -112,6 +115,40 @@ json::Object bench_gemm(const Shape& shape, double min_ms, util::Rng& rng) {
   return entry;
 }
 
+struct DotShape {
+  std::size_t m, n, k;
+  const char* what;
+};
+
+json::Object bench_dot_exact(const DotShape& shape, double min_ms,
+                             util::Rng& rng) {
+  nn::Matrix a(shape.m, shape.k);
+  nn::Matrix b(shape.n, shape.k);
+  nn::Matrix c(shape.m, shape.n);
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.normal();
+  // Packing is per call in the SVM too (once per decision or Gram fill),
+  // but amortized over every row tile; time the kernel alone.
+  const kern::DotPanels panels(shape.n, shape.k, b.data(), shape.k);
+  const auto [wall_ms, reps] = measure(min_ms, [&] {
+    kern::dot_nt_exact(shape.m, a.data(), shape.k, panels, c.data(),
+                       shape.n);
+  });
+  const double flops = 2.0 * static_cast<double>(shape.m) *
+                       static_cast<double>(shape.n) *
+                       static_cast<double>(shape.k) *
+                       static_cast<double>(reps);
+  json::Object entry;
+  entry["what"] = std::string(shape.what);
+  entry["m"] = shape.m;
+  entry["n"] = shape.n;
+  entry["k"] = shape.k;
+  entry["reps"] = reps;
+  entry["wall_ms"] = wall_ms;
+  entry["gflops"] = wall_ms > 0.0 ? flops / (wall_ms * 1e6) : 0.0;
+  return entry;
+}
+
 int run(const util::ArgParser& args) {
   par::set_threads(static_cast<std::size_t>(args.get_int("threads")));
   const bool quick = args.get_flag("quick");
@@ -125,9 +162,14 @@ int run(const util::ArgParser& args) {
       {1380, 320, 16, Op::kStep, "decoder 320->1380 sgd step"},
       {256, 256, 256, Op::kNn, "square"},
   };
+  std::vector<DotShape> dot_shapes = {
+      {32, 970, 144, "svm decision row tile"},
+      {32, 500, 144, "svm gram row tile"},
+  };
   if (!quick) {
     shapes.push_back({3426, 320, 1380, Op::kNt, "encode (corpus rows)"});
     shapes.push_back({512, 512, 512, Op::kNn, "square-large"});
+    dot_shapes.push_back({1024, 970, 144, "svm decision, 1024 rows"});
   }
 
   json::Array paths;
@@ -140,24 +182,32 @@ int run(const util::ArgParser& args) {
     for (const Shape& shape : shapes)
       gemm.emplace_back(bench_gemm(shape, min_ms, rng));
     section["gemm"] = std::move(gemm);
+    json::Array dot_exact;
+    for (const DotShape& shape : dot_shapes)
+      dot_exact.emplace_back(bench_dot_exact(shape, min_ms, rng));
+    section["dot_exact"] = std::move(dot_exact);
     paths.emplace_back(std::move(section));
   }
 
   json::Object root;
-  root["schema_version"] = 2;
+  root["schema_version"] = 3;
   root["threads"] = par::threads();
   root["paths"] = std::move(paths);
 
   const json::Value report(std::move(root));
   json::write_file(args.get("out"), report, 2);
 
-  // Human-readable recap: peak GFLOP/s per path.
+  // Human-readable recap: peak GFLOP/s per path and kernel.
   for (const json::Value& section : report.at("paths").as_array()) {
-    double best = 0.0;
-    for (const json::Value& entry : section.at("gemm").as_array())
-      best = std::max(best, entry.at("gflops").as_number());
-    std::printf("%-7s peak %.2f GFLOP/s\n",
-                section.at("path").as_string().c_str(), best);
+    const auto peak = [&](const char* key) {
+      double best = 0.0;
+      for (const json::Value& entry : section.at(key).as_array())
+        best = std::max(best, entry.at("gflops").as_number());
+      return best;
+    };
+    std::printf("%-7s peak %.2f GFLOP/s gemm, %.2f GFLOP/s dot_exact\n",
+                section.at("path").as_string().c_str(), peak("gemm"),
+                peak("dot_exact"));
   }
   std::printf("wrote %s\n", args.get("out").c_str());
   return 0;
