@@ -6,22 +6,19 @@
 // deterministic parts (spatial division, JOCs) and continues from the last
 // completed iteration.
 //
-// File format (see DESIGN.md "Error handling & fault injection"):
+// File format (see DESIGN.md "Error handling & fault injection"): a file
+// sealed by util::seal with tag "FSCP" and kCheckpointVersion, whose body
+// is
 //
-//   "FSCP"            4-byte magic
-//   u64               format version
-//   --- CRC32 region ---
 //   u64               run fingerprint
 //   i64               completed iteration
 //   i32_vector        predictions over the candidate-pair universe
 //   f64_vector        decision scores over the universe
 //   PresenceModel     trained phase-1 model (its own tagged records)
-//   --- end region ---
-//   u64               CRC32 of the region
 //
-// Any mismatch — magic, version, fingerprint, truncation, checksum —
-// throws fs::CorruptCheckpoint; the caller restarts cleanly instead of
-// resuming from garbage.
+// Any mismatch — magic, version, fingerprint, truncation, checksum, bytes
+// the body decoder leaves unread — throws fs::CorruptCheckpoint; the caller
+// restarts cleanly instead of resuming from garbage.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +44,7 @@ struct PipelineCheckpoint {
   std::optional<PresenceModel> presence;
 };
 
-/// Writes atomically (temp file + rename). Throws fs::IoError on failure.
+/// Publishes through util::atomic_write. Throws fs::IoError on failure.
 void save_pipeline_checkpoint(const std::string& path,
                               const PipelineCheckpoint& checkpoint);
 

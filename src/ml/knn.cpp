@@ -1,6 +1,7 @@
 #include "ml/knn.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -106,7 +107,9 @@ KnnClassifier KnnClassifier::load(util::BinaryReader& reader) {
   const std::size_t cols = reader.u64();
   const std::vector<double> flat = reader.f64_vector();
   std::vector<int> labels = reader.i32_vector();
-  if (flat.size() != rows * cols || labels.size() != rows)
+  // rows * cols can wrap; reject the shape before trusting the product.
+  if ((cols != 0 && rows > SIZE_MAX / cols) || flat.size() != rows * cols ||
+      labels.size() != rows)
     throw std::runtime_error("KnnClassifier::load: corrupted record");
   nn::Matrix features(rows, cols);
   std::copy(flat.begin(), flat.end(), features.data());

@@ -195,6 +195,10 @@ class Parser {
   }
 
  private:
+  // Containers nest by recursion: a fixed depth bound keeps hostile input
+  // from exhausting the stack.
+  static constexpr int kMaxDepth = 256;
+
   [[noreturn]] void fail(const std::string& why) const {
     throw ParseError("json: " + why + " at offset " + std::to_string(pos_));
   }
@@ -226,8 +230,13 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char ch = peek();
-    if (ch == '{') return parse_object();
-    if (ch == '[') return parse_array();
+    if (ch == '{' || ch == '[') {
+      if (++depth_ > kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      Value v = ch == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (ch == '"') return Value(parse_string());
     if (ch == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -368,6 +377,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

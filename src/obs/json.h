@@ -86,8 +86,9 @@ class Value {
 std::string escape(const std::string& raw);
 
 /// Parses a complete JSON document; throws fs::ParseError with an offset on
-/// malformed input. Accepts the JSON subset this repo emits (no \u surrogate
-/// pairs are *generated*, but \uXXXX escapes are decoded).
+/// malformed input or arrays/objects nested more than 256 deep. Accepts the
+/// JSON subset this repo emits (no \u surrogate pairs are *generated*, but
+/// \uXXXX escapes are decoded).
 Value parse(const std::string& text);
 
 /// Writes `value` to `path` (pretty-printed), fsync-free; throws IoError on

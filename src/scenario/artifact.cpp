@@ -1,10 +1,10 @@
 #include "scenario/artifact.h"
 
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 
+#include "util/binary_io.h"
 #include "util/error.h"
 
 namespace fs::scenario {
@@ -187,11 +187,7 @@ void write_matrix(const std::string& path, const MatrixResult& matrix) {
 }
 
 json::Value load_matrix_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("scenario matrix: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  json::Value doc = json::parse(text.str());
+  json::Value doc = json::parse(util::read_file(path));
   validate_matrix(doc);
   return doc;
 }

@@ -1,9 +1,7 @@
 #include "store/convert.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -155,39 +153,19 @@ ConvertStats write_store(const data::Dataset& ds,
   ConvertStats stats;
   const std::vector<char> image = build_image(ds, report, options, stats);
 
-  // Same atomic discipline as checkpoints/snapshots: all-or-nothing via
-  // tmp + rename. The two failpoints bracket the rename: `io` simulates a
-  // failed write (clean up the tmp, surface IoError); `kill` simulates a
-  // crash after the payload hit disk but before the rename (leave the tmp
-  // exactly as a dead process would — the invariant chaos_soak checks is
-  // that the *final* path never holds a store that validates).
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out || util::failpoint::fail("store.convert.io")) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw IoError("store convert: cannot write '" + tmp + "'");
-    }
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      throw IoError("store convert: short write to '" + tmp + "'");
-    }
-  }
-  if (!util::fsync_path(tmp)) {
-    std::remove(tmp.c_str());
-    throw IoError("store convert: fsync '" + tmp + "' failed");
-  }
-  if (util::failpoint::fail("store.convert.kill"))
-    throw util::failpoint::InjectedKill(
-        "store.convert.kill: simulated crash before rename of '" + tmp + "'");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("store convert: rename to '" + path + "' failed");
-  }
-  util::fsync_parent_dir(path);
+  // The two failpoints bracket the write: `io` simulates a failed write
+  // (no tmp, no store, IoError); `kill` simulates a crash after the payload
+  // hit disk but before the rename (the tmp stays exactly as a dead process
+  // would leave it — the invariant chaos_soak checks is that the *final*
+  // path never holds a store that validates).
+  if (util::failpoint::fail("store.convert.io"))
+    throw IoError("store convert: cannot write '" + path + ".tmp'");
+  util::atomic_write(path, std::string_view(image.data(), image.size()), [&] {
+    if (util::failpoint::fail("store.convert.kill"))
+      throw util::failpoint::InjectedKill(
+          "store.convert.kill: simulated crash before rename of '" + path +
+          ".tmp'");
+  });
   return stats;
 }
 

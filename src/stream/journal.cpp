@@ -6,7 +6,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/binary_io.h"
 #include "util/error.h"
@@ -21,25 +20,43 @@ constexpr std::uint32_t kFrameMagic = 0x464A4C31;  // "1LJF" on disk
 constexpr char kJournalHeader[8] = {'F', 'S', 'J', 'R', 'N', 'L', '1', '\0'};
 constexpr std::size_t kFrameHeaderBytes = 3 * sizeof(std::uint32_t);
 
+// The RawEvent field list, shared by journal frames and snapshots.
+void put_event(util::BinaryWriter& w, const RawEvent& e) {
+  w.u64(e.seq);
+  w.u64(e.event_id);
+  w.u64(e.has_explicit_id ? 1 : 0);
+  w.i64(e.user);
+  w.i64(e.time);
+  w.f64(e.location.lat);
+  w.f64(e.location.lng);
+  w.i64(e.poi);
+  w.str(e.line);
+}
+
+// Eight fixed-width fields plus the line's length prefix.
+constexpr std::size_t kMinEventBytes = 9 * sizeof(std::uint64_t);
+
+void get_event(util::BinaryReader& r, RawEvent& e) {
+  e.seq = r.u64();
+  e.event_id = r.u64();
+  e.has_explicit_id = r.u64() != 0;
+  e.user = r.i64();
+  e.time = r.i64();
+  e.location.lat = r.f64();
+  e.location.lng = r.f64();
+  e.poi = r.i64();
+  e.line = r.str();
+}
+
 std::string encode_payload(const JournalRecord& record) {
-  std::ostringstream buffer(std::ios::binary);
-  util::BinaryWriter w(buffer);
+  std::string payload;
+  util::BinaryWriter w(payload);
   w.u64(static_cast<std::uint64_t>(record.type));
   w.u64(record.source_index);
   switch (record.type) {
-    case FrameType::kAccepted: {
-      const RawEvent& e = record.event;
-      w.u64(e.seq);
-      w.u64(e.event_id);
-      w.u64(e.has_explicit_id ? 1 : 0);
-      w.i64(e.user);
-      w.i64(e.time);
-      w.f64(e.location.lat);
-      w.f64(e.location.lng);
-      w.i64(e.poi);
-      w.str(e.line);
+    case FrameType::kAccepted:
+      put_event(w, record.event);
       break;
-    }
     case FrameType::kQuarantined:
       w.u64(static_cast<std::uint64_t>(record.reason));
       w.str(record.line);
@@ -48,14 +65,13 @@ std::string encode_payload(const JournalRecord& record) {
       w.str(record.line);
       break;
   }
-  return std::move(buffer).str();
+  return payload;
 }
 
 /// Decodes one payload; throws on any malformed field (the caller treats
 /// that like a CRC failure: the prefix before this frame is the valid one).
 JournalRecord decode_payload(const std::string& payload) {
-  std::istringstream buffer(payload, std::ios::binary);
-  util::BinaryReader r(buffer);
+  util::BinaryReader r(payload);
   JournalRecord record;
   const auto type = r.u64();
   if (type < 1 || type > 3)
@@ -64,19 +80,9 @@ JournalRecord decode_payload(const std::string& payload) {
   record.type = static_cast<FrameType>(type);
   record.source_index = r.u64();
   switch (record.type) {
-    case FrameType::kAccepted: {
-      RawEvent& e = record.event;
-      e.seq = r.u64();
-      e.event_id = r.u64();
-      e.has_explicit_id = r.u64() != 0;
-      e.user = r.i64();
-      e.time = r.i64();
-      e.location.lat = r.f64();
-      e.location.lng = r.f64();
-      e.poi = r.i64();
-      e.line = r.str();
+    case FrameType::kAccepted:
+      get_event(r, record.event);
       break;
-    }
     case FrameType::kQuarantined: {
       const auto reason = r.u64();
       if (reason >= kRejectReasonCount)
@@ -89,6 +95,7 @@ JournalRecord decode_payload(const std::string& payload) {
       record.line = r.str();
       break;
   }
+  r.expect_end();
   return record;
 }
 
@@ -225,10 +232,7 @@ RecoveredJournal recover_journal(const std::string& path) {
     }
     try {
       result.records.push_back(decode_payload(payload));
-    } catch (const Error&) {
-      result.truncated_tail = true;
-      break;
-    } catch (const std::runtime_error&) {  // BinaryReader short read
+    } catch (const std::runtime_error&) {
       result.truncated_tail = true;
       break;
     }
@@ -255,87 +259,42 @@ void reset_journal(const std::string& path) {
 
 // ---- snapshots ---------------------------------------------------------
 
+// Version 2 widened quarantine_counts for the transport-level reject
+// reasons (frame_corrupt/frame_malformed). v1 snapshots are refused by
+// load_snapshot, which falls back to a full journal replay.
+constexpr std::uint64_t kSnapshotVersion = 2;
+
 void save_snapshot(const std::string& path, const Snapshot& snapshot) {
-  const std::string tmp = path + ".tmp";
-  try {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) throw IoError("cannot open snapshot tmp: " + tmp);
-      util::BinaryWriter w(out);
-      w.tag("FSSN");
-      // Version 2 widened quarantine_counts for the transport-level reject
-      // reasons (frame_corrupt/frame_malformed). v1 snapshots are refused by
-      // load_snapshot, which falls back to a full journal replay.
-      w.u64(2);
-      w.crc_begin();
-      w.u64(snapshot.config_fingerprint);
-      w.u64(snapshot.consumed_lines);
-      w.u64(snapshot.shed_total);
-      for (const auto count : snapshot.quarantine_counts) w.u64(count);
-      w.u64(snapshot.events.size());
-      for (const auto& e : snapshot.events) {
-        w.u64(e.seq);
-        w.u64(e.event_id);
-        w.u64(e.has_explicit_id ? 1 : 0);
-        w.i64(e.user);
-        w.i64(e.time);
-        w.f64(e.location.lat);
-        w.f64(e.location.lng);
-        w.i64(e.poi);
-        w.str(e.line);
-      }
-      w.crc_end();
-      out.flush();
-      if (!out) throw IoError("snapshot write failed: " + tmp);
-    }
-    // Durability barrier: the tmp's bytes must be on disk before the rename
-    // publishes it, and the rename itself is only durable once the parent
-    // directory's entry is synced — otherwise a crash can leave a published
-    // name pointing at unwritten data, or silently revert to the old file.
-    if (!util::fsync_path(tmp)) throw IoError("snapshot fsync failed: " + tmp);
-    std::filesystem::rename(tmp, path);
-    if (!util::fsync_parent_dir(path))
-      throw IoError("snapshot directory fsync failed for: " + path);
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
+  std::string body;
+  util::BinaryWriter w(body);
+  w.u64(snapshot.config_fingerprint);
+  w.u64(snapshot.consumed_lines);
+  w.u64(snapshot.shed_total);
+  for (const auto count : snapshot.quarantine_counts) w.u64(count);
+  w.u64(snapshot.events.size());
+  for (const auto& e : snapshot.events) put_event(w, e);
+  util::atomic_write(path, util::seal("FSSN", kSnapshotVersion, body));
 }
 
 std::optional<Snapshot> load_snapshot(const std::string& path,
                                       std::uint64_t expected_fingerprint) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
   try {
-    util::BinaryReader r(in);
-    r.expect_tag("FSSN");
-    if (r.u64() != 2) return std::nullopt;
-    r.crc_begin();
+    const std::string bytes = util::read_file(path);
+    util::BinaryReader r(util::unseal(bytes, "FSSN", kSnapshotVersion));
     Snapshot snapshot;
     snapshot.config_fingerprint = r.u64();
+    if (snapshot.config_fingerprint != expected_fingerprint)
+      return std::nullopt;
     snapshot.consumed_lines = r.u64();
     snapshot.shed_total = r.u64();
     for (auto& count : snapshot.quarantine_counts) count = r.u64();
-    const auto n = r.u64();
-    snapshot.events.resize(n);
-    for (auto& e : snapshot.events) {
-      e.seq = r.u64();
-      e.event_id = r.u64();
-      e.has_explicit_id = r.u64() != 0;
-      e.user = r.i64();
-      e.time = r.i64();
-      e.location.lat = r.f64();
-      e.location.lng = r.f64();
-      e.poi = r.i64();
-      e.line = r.str();
-    }
-    r.crc_end();
-    if (snapshot.config_fingerprint != expected_fingerprint)
-      return std::nullopt;
+    snapshot.events.resize(r.count(kMinEventBytes));
+    for (auto& e : snapshot.events) get_event(r, e);
+    r.expect_end();
     return snapshot;
   } catch (const std::runtime_error&) {
-    // Torn, corrupt, or wrong-format snapshot: recovery replays the journal.
+    // Missing, torn, corrupt, or wrong-format snapshot: recovery replays
+    // the journal.
     return std::nullopt;
   }
 }

@@ -74,7 +74,8 @@ class JournalWriter {
                           std::string_view line);
   void append_shed(std::uint64_t source_index, std::string_view line);
   void flush();
-  /// fsync(2) barrier: everything appended so far survives power loss.
+  /// Durability barrier (fsync): everything appended so far survives power
+  /// loss.
   void sync();
 
   std::uint64_t bytes() const { return bytes_; }
@@ -117,8 +118,8 @@ struct Snapshot {
   std::vector<RawEvent> events;          // accepted prefix, in order
 };
 
-/// Atomically writes the snapshot (tmp + rename; the tmp is removed on any
-/// failure). The payload is CRC32-checksummed end to end.
+/// Publishes the snapshot through util::atomic_write, sealed (util::seal,
+/// tag "FSSN") so load_snapshot checks its CRC before parsing a field.
 void save_snapshot(const std::string& path, const Snapshot& snapshot);
 
 /// Loads and validates a snapshot. Returns std::nullopt when the file is

@@ -6,10 +6,12 @@
 #include <unistd.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/error.h"
+#include "util/failpoint.h"
 
 namespace fs::util {
 
@@ -53,23 +55,64 @@ bool fsync_eintr(int fd) {
   }
 }
 
-bool fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+namespace {
+
+[[noreturn]] void throw_errno(const std::string& what, const std::string& path,
+                              int error) {
+  throw IoError(what + " '" + path + "': " + std::strerror(error));
+}
+
+/// Makes a just-renamed entry durable: rename alone only updates the
+/// in-memory dirent.
+bool fsync_parent_dir(const std::string& path) {
+  // dirname may modify its argument; give it a scratch copy.
+  std::string scratch = path;
+  const int fd = ::open(::dirname(scratch.data()), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return false;
   const bool ok = fsync_eintr(fd);
   ::close(fd);
   return ok;
 }
 
-bool fsync_parent_dir(const std::string& path) {
-  // dirname may modify its argument; give it a scratch copy.
-  std::string scratch = path;
-  const char* dir = ::dirname(scratch.data());
-  const int fd = ::open(dir, O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  const bool ok = fsync_eintr(fd);
+}  // namespace
+
+std::string read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw_errno("cannot open", path, errno);
+  std::string bytes;
+  char chunk[1 << 16];
+  ssize_t n;
+  while ((n = read_eintr(fd, chunk, sizeof chunk)) > 0)
+    bytes.append(chunk, static_cast<std::size_t>(n));
+  const int error = errno;
   ::close(fd);
-  return ok;
+  if (n < 0) throw_errno("cannot read", path, error);
+  return bytes;
+}
+
+void atomic_write(const std::string& path, std::string_view bytes,
+                  const std::function<void()>& before_rename) {
+  const std::string tmp = path + ".tmp";
+  try {
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) throw_errno("cannot create", tmp, errno);
+    const bool written =
+        write_all_eintr(fd, bytes.data(), bytes.size()) && fsync_eintr(fd);
+    const int error = errno;
+    ::close(fd);
+    if (!written) throw_errno("cannot write", tmp, error);
+    if (before_rename) before_rename();
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+      throw_errno("cannot rename onto", path, errno);
+    if (!fsync_parent_dir(path))
+      throw_errno("cannot sync the directory of", path, errno);
+  } catch (const failpoint::InjectedKill&) {
+    throw;  // a simulated crash leaves what a real one would
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 namespace {
@@ -85,6 +128,9 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+constexpr std::size_t kSealHead = 4 + sizeof(std::uint64_t);  // tag, version
+constexpr std::size_t kSealTail = sizeof(std::uint64_t);       // CRC
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
@@ -96,23 +142,46 @@ std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+std::string seal(const char (&tag)[5], std::uint64_t version,
+                 std::string_view body) {
+  std::string sealed;
+  sealed.reserve(kSealHead + body.size() + kSealTail);
+  BinaryWriter writer(sealed);
+  writer.tag(tag);
+  writer.u64(version);
+  sealed.append(body);
+  writer.u64(crc32(body.data(), body.size()));
+  return sealed;
+}
+
+std::string_view unseal(std::string_view bytes, const char (&tag)[5],
+                        std::uint64_t version) {
+  const std::string name = std::string("sealed ") + tag + " file: ";
+  if (bytes.size() < kSealHead + kSealTail)
+    throw CorruptCheckpoint(name + "only " + std::to_string(bytes.size()) +
+                            " bytes");
+  if (bytes.substr(0, 4) != std::string_view(tag, 4))
+    throw CorruptCheckpoint(name + "found tag '" +
+                            std::string(bytes.substr(0, 4)) + "'");
+  std::uint64_t found_version = 0, stored_crc = 0;
+  std::memcpy(&found_version, bytes.data() + 4, sizeof found_version);
+  std::memcpy(&stored_crc, bytes.data() + bytes.size() - kSealTail,
+              sizeof stored_crc);
+  if (found_version != version)
+    throw CorruptCheckpoint(name + "unsupported version " +
+                            std::to_string(found_version));
+  const std::string_view body =
+      bytes.substr(kSealHead, bytes.size() - kSealHead - kSealTail);
+  const std::uint32_t computed = crc32(body.data(), body.size());
+  if (stored_crc != computed)
+    throw CorruptCheckpoint(name + "CRC mismatch (stored " +
+                            std::to_string(stored_crc) + ", computed " +
+                            std::to_string(computed) + ")");
+  return body;
+}
+
 void BinaryWriter::raw(const void* data, std::size_t bytes) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(bytes));
-  if (!out_) throw IoError("BinaryWriter: write failed");
-  if (crc_active_) crc_.update(data, bytes);
-}
-
-void BinaryWriter::crc_begin() {
-  crc_.reset();
-  crc_active_ = true;
-}
-
-std::uint32_t BinaryWriter::crc_end() {
-  crc_active_ = false;
-  const std::uint32_t value = crc_.value();
-  u64(value);
-  return value;
+  out_.append(static_cast<const char*>(data), bytes);
 }
 
 void BinaryWriter::tag(const char (&name)[5]) { raw(name, 4); }
@@ -121,42 +190,41 @@ void BinaryWriter::u64(std::uint64_t value) { raw(&value, sizeof value); }
 void BinaryWriter::i64(std::int64_t value) { raw(&value, sizeof value); }
 void BinaryWriter::f64(double value) { raw(&value, sizeof value); }
 
-void BinaryWriter::str(const std::string& value) {
+void BinaryWriter::str(std::string_view value) {
   u64(value.size());
-  if (!value.empty()) raw(value.data(), value.size());
+  out_.append(value);
 }
 
 void BinaryWriter::f64_vector(const std::vector<double>& values) {
   u64(values.size());
-  if (!values.empty()) raw(values.data(), values.size() * sizeof(double));
+  raw(values.data(), values.size() * sizeof(double));
 }
 
 void BinaryWriter::i32_vector(const std::vector<int>& values) {
   u64(values.size());
-  if (!values.empty()) raw(values.data(), values.size() * sizeof(int));
+  raw(values.data(), values.size() * sizeof(int));
 }
 
 void BinaryReader::raw(void* data, std::size_t bytes) {
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in_.gcount()) != bytes)
-    throw std::runtime_error("BinaryReader: truncated stream");
-  if (crc_active_) crc_.update(data, bytes);
+  if (bytes > bytes_.size() - pos_)
+    throw std::runtime_error("BinaryReader: truncated input");
+  if (bytes) std::memcpy(data, bytes_.data() + pos_, bytes);
+  pos_ += bytes;
 }
 
-void BinaryReader::crc_begin() {
-  crc_.reset();
-  crc_active_ = true;
+std::size_t BinaryReader::count(std::size_t min_element_bytes) {
+  const std::uint64_t n = u64();
+  if (n > (bytes_.size() - pos_) / min_element_bytes)
+    throw std::runtime_error("BinaryReader: count " + std::to_string(n) +
+                             " overruns the input");
+  return static_cast<std::size_t>(n);
 }
 
-std::uint32_t BinaryReader::crc_end() {
-  crc_active_ = false;
-  const std::uint32_t computed = crc_.value();
-  const std::uint64_t stored = u64();
-  if (stored != computed)
-    throw CorruptCheckpoint(
-        "BinaryReader: CRC mismatch (stored " + std::to_string(stored) +
-        ", computed " + std::to_string(computed) + ")");
-  return computed;
+void BinaryReader::expect_end() const {
+  if (pos_ != bytes_.size())
+    throw std::runtime_error("BinaryReader: " +
+                             std::to_string(bytes_.size() - pos_) +
+                             " unread trailing bytes");
 }
 
 void BinaryReader::expect_tag(const char (&name)[5]) {
@@ -187,29 +255,20 @@ double BinaryReader::f64() {
 }
 
 std::string BinaryReader::str() {
-  const std::uint64_t size = u64();
-  if (size > (1ull << 32))
-    throw std::runtime_error("BinaryReader: implausible string size");
-  std::string value(size, '\0');
-  if (size) raw(value.data(), size);
+  std::string value(count(1), '\0');
+  raw(value.data(), value.size());
   return value;
 }
 
 std::vector<double> BinaryReader::f64_vector() {
-  const std::uint64_t size = u64();
-  if (size > (1ull << 32))
-    throw std::runtime_error("BinaryReader: implausible vector size");
-  std::vector<double> values(size);
-  if (size) raw(values.data(), size * sizeof(double));
+  std::vector<double> values(count(sizeof(double)));
+  raw(values.data(), values.size() * sizeof(double));
   return values;
 }
 
 std::vector<int> BinaryReader::i32_vector() {
-  const std::uint64_t size = u64();
-  if (size > (1ull << 32))
-    throw std::runtime_error("BinaryReader: implausible vector size");
-  std::vector<int> values(size);
-  if (size) raw(values.data(), size * sizeof(int));
+  std::vector<int> values(count(sizeof(int)));
+  raw(values.data(), values.size() * sizeof(int));
   return values;
 }
 

@@ -1,24 +1,29 @@
-// Tagged little-endian binary serialization for trained models.
+// Tagged little-endian binary records, sealed files, and the one way this
+// repo publishes a file.
 //
-// The format is deliberately simple: every record starts with a 4-byte tag
-// so version/type mismatches fail loudly at the exact field, not as
-// corrupted numbers downstream. Host endianness is assumed (the project
-// targets a single machine; files are a cache, not an interchange format).
+// BinaryWriter appends records to a byte string; every record kind starts
+// with a 4-byte tag so version/type mismatches fail loudly at the exact
+// field, not as corrupted numbers downstream. BinaryReader parses them back
+// from a byte span and checks every length against the bytes left before
+// it allocates for it. Host endianness is assumed (the project targets a
+// single machine; files are a cache, not an interchange format).
 //
-// For durable artifacts (checkpoints), both ends support CRC32 regions:
-// the writer accumulates a checksum over every byte between crc_begin()
-// and crc_end() and appends it; the reader recomputes it over the same
-// span and verifies — so truncation and bit rot fail loudly instead of
-// deserializing garbage.
+// Durable artifacts (pipeline checkpoints, stream snapshots) are sealed:
+//
+//   [4-byte tag][u64 version][body][u64 CRC-32 of the body]
+//
+// unseal() checks the size, tag, version and CRC of the whole body before
+// the caller parses a single field, so truncation and bit rot fail loudly
+// instead of deserializing (or allocating for) garbage.
 #pragma once
 
 #include <sys/socket.h>
 #include <sys/types.h>
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fs::util {
@@ -47,64 +52,67 @@ bool write_all_eintr(int fd, const void* buf, std::size_t bytes);
 /// non-blocking listeners check for it).
 int accept_eintr(int fd, struct sockaddr* addr, socklen_t* addr_len);
 
-/// fsync(2), retried on EINTR. Returns false (errno set) on hard error.
+/// Flushes the file's data to stable storage, retried on EINTR. Returns
+/// false (errno set) on hard error.
 bool fsync_eintr(int fd);
 
-/// Opens `path` read-only, fsyncs it, closes it. For durability barriers on
-/// files written through buffered streams (e.g. a snapshot tmp before its
-/// atomic rename).
-bool fsync_path(const std::string& path);
+// ---- whole files -------------------------------------------------------
 
-/// fsyncs the directory containing `path`, making a just-renamed entry
-/// durable (rename alone only updates the in-memory dirent).
-bool fsync_parent_dir(const std::string& path);
+/// The whole file as bytes. Throws fs::IoError if it cannot be opened or
+/// read.
+std::string read_file(const std::string& path);
+
+/// Publishes `bytes` at `path` all-or-nothing: writes `<path>.tmp`, syncs
+/// it, runs `before_rename` (a fault-injection hook), renames the tmp over
+/// `path` and syncs the parent directory, so after a crash `path` holds
+/// either the old file or the whole new one. Throws fs::IoError on any
+/// failure and removes the tmp first — except for
+/// failpoint::InjectedKill, which leaves the tmp exactly as a crash would.
+void atomic_write(const std::string& path, std::string_view bytes,
+                  const std::function<void()>& before_rename = {});
+
+// ---- checksums and sealed files ----------------------------------------
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial), one-shot over a buffer.
 std::uint32_t crc32(const void* data, std::size_t bytes,
                     std::uint32_t seed = 0);
 
-/// Incremental CRC-32 accumulator.
-class Crc32 {
- public:
-  void update(const void* data, std::size_t bytes) {
-    value_ = crc32(data, bytes, value_);
-  }
-  std::uint32_t value() const { return value_; }
-  void reset() { value_ = 0; }
+/// Frames `body` as a sealed file (layout above).
+std::string seal(const char (&tag)[5], std::uint64_t version,
+                 std::string_view body);
 
- private:
-  std::uint32_t value_ = 0;
-};
+/// The verified body of a sealed file (a view into `bytes`). Throws
+/// fs::CorruptCheckpoint if the file is too short or its tag, version or
+/// CRC does not match.
+std::string_view unseal(std::string_view bytes, const char (&tag)[5],
+                        std::uint64_t version);
+
+// ---- records -----------------------------------------------------------
 
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::ostream& out) : out_(out) {}
+  explicit BinaryWriter(std::string& out) : out_(out) {}
 
   void tag(const char (&name)[5]);  // 4 chars + NUL
   void u64(std::uint64_t value);
   void i64(std::int64_t value);
   void f64(double value);
-  void str(const std::string& value);
+  void str(std::string_view value);
   void f64_vector(const std::vector<double>& values);
   void i32_vector(const std::vector<int>& values);
 
-  /// Starts checksumming subsequent writes.
-  void crc_begin();
-  /// Stops checksumming, writes the CRC32 as a u64 record, returns it.
-  std::uint32_t crc_end();
-
  private:
   void raw(const void* data, std::size_t bytes);
-  std::ostream& out_;
-  Crc32 crc_;
-  bool crc_active_ = false;
+  std::string& out_;
 };
 
+/// Every failure (truncation, tag mismatch, a length past the end) throws
+/// std::runtime_error.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& in) : in_(in) {}
+  explicit BinaryReader(std::string_view bytes) : bytes_(bytes) {}
+  BinaryReader(std::string&&) = delete;  // the view would dangle
 
-  /// Reads 4 bytes and throws std::runtime_error on mismatch.
   void expect_tag(const char (&name)[5]);
 
   std::uint64_t u64();
@@ -114,17 +122,18 @@ class BinaryReader {
   std::vector<double> f64_vector();
   std::vector<int> i32_vector();
 
-  /// Starts checksumming subsequent reads.
-  void crc_begin();
-  /// Stops checksumming, reads the stored CRC32 and throws
-  /// fs::CorruptCheckpoint on mismatch. Returns the verified value.
-  std::uint32_t crc_end();
+  /// Reads a u64 element count and checks that that many elements of at
+  /// least `min_element_bytes` each fit in the bytes left.
+  std::size_t count(std::size_t min_element_bytes);
+
+  /// Throws unless every byte has been read: a body with bytes its decoder
+  /// did not consume is not the body that was written.
+  void expect_end() const;
 
  private:
   void raw(void* data, std::size_t bytes);
-  std::istream& in_;
-  Crc32 crc_;
-  bool crc_active_ = false;
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
 };
 
 }  // namespace fs::util

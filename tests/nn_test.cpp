@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -615,8 +614,8 @@ std::string two_pass_trained_record(const AutoencoderConfig& cfg,
   }
 
   // Mirrors SupervisedAutoencoder::save field by field.
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string record;
+  util::BinaryWriter writer(record);
   writer.tag("SAE1");
   writer.u64(cfg.encoder_dims.size());
   for (std::size_t d : cfg.encoder_dims) writer.u64(d);
@@ -634,7 +633,7 @@ std::string two_pass_trained_record(const AutoencoderConfig& cfg,
   encoder.save(writer);
   decoder.save(writer);
   classifier.save(writer);
-  return stream.str();
+  return record;
 }
 
 TEST(SupervisedAutoencoder, FusedStepMatchesTwoPassTrajectoryBitForBit) {
@@ -664,11 +663,10 @@ TEST(SupervisedAutoencoder, FusedStepMatchesTwoPassTrajectoryBitForBit) {
           cfg.seed = 67;
           SupervisedAutoencoder fused(cfg);
           fused.train(x, y);
-          std::stringstream stream;
-          util::BinaryWriter writer(stream);
+          std::string actual;
+          util::BinaryWriter writer(actual);
           fused.save(writer);
           const std::string expected = two_pass_trained_record(cfg, x, y);
-          const std::string actual = stream.str();
           ASSERT_EQ(actual.size(), expected.size());
           EXPECT_EQ(0, std::memcmp(actual.data(), expected.data(),
                                    actual.size()))

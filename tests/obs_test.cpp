@@ -78,6 +78,20 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(json::parse("\"s\"").as_number(), ParseError);
 }
 
+// Containers parse by recursion, so nesting is bounded: text from outside
+// the program (scenario configs, diffed matrices) must not be able to
+// exhaust the stack.
+TEST(Json, ParseBoundsNestingDepth) {
+  EXPECT_NO_THROW(json::parse(std::string(256, '[') + std::string(256, ']')));
+  EXPECT_THROW(json::parse(std::string(257, '[') + std::string(257, ']')),
+               ParseError);
+  EXPECT_THROW(json::parse(std::string(100000, '[')), ParseError);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(300, '}');
+  EXPECT_THROW(json::parse(objects), ParseError);
+}
+
 TEST(Json, UnicodeEscapeDecodes) {
   EXPECT_EQ(json::parse("\"caf\\u00e9\"").as_string(), "caf\xc3\xa9");
 }

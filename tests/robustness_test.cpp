@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "core/joc.h"
 #include "core/pipeline.h"
@@ -166,16 +165,16 @@ TEST(Robustness, SkipGramWithDegenerateWalks) {
 // ---------- malformed external input ----------
 
 TEST(Robustness, BinaryReaderRejectsGarbage) {
-  std::stringstream stream("garbage-bytes-here");
-  util::BinaryReader reader(stream);
+  const std::string bytes = "garbage-bytes-here";
+  util::BinaryReader reader(bytes);
   EXPECT_THROW(reader.expect_tag("MLP0"), std::runtime_error);
 }
 
 TEST(Robustness, BinaryReaderRejectsImplausibleSizes) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.u64(1ull << 40);  // claims a 2^40-entry vector
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   EXPECT_THROW(reader.f64_vector(), std::runtime_error);
 }
 

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "core/presence.h"
@@ -21,8 +20,8 @@ namespace {
 // ---------- primitives ----------
 
 TEST(BinaryIo, ScalarsRoundTrip) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.tag("TEST");
   writer.u64(42);
   writer.i64(-7);
@@ -31,7 +30,7 @@ TEST(BinaryIo, ScalarsRoundTrip) {
   writer.f64_vector({1.0, 2.0});
   writer.i32_vector({-1, 5});
 
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   reader.expect_tag("TEST");
   EXPECT_EQ(reader.u64(), 42u);
   EXPECT_EQ(reader.i64(), -7);
@@ -48,65 +47,87 @@ TEST(BinaryIo, Crc32KnownVector) {
   // Seeded continuation equals the one-shot over the concatenation.
   const std::uint32_t first = util::crc32(data, 4);
   EXPECT_EQ(util::crc32(data + 4, 5, first), 0xCBF43926u);
-  util::Crc32 incremental;
-  incremental.update(data, 3);
-  incremental.update(data + 3, 6);
-  EXPECT_EQ(incremental.value(), 0xCBF43926u);
 }
 
-TEST(BinaryIo, CrcRegionRoundTrip) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
-  writer.tag("HDRX");
-  writer.crc_begin();
+std::string sample_body() {
+  std::string body;
+  util::BinaryWriter writer(body);
   writer.u64(77);
   writer.str("payload");
   writer.f64_vector({1.5, -2.5});
-  const std::uint32_t written = writer.crc_end();
+  return body;
+}
 
-  util::BinaryReader reader(stream);
-  reader.expect_tag("HDRX");
-  reader.crc_begin();
+std::string hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += digits[c >> 4];
+    out += digits[c & 15];
+  }
+  return out;
+}
+
+TEST(BinaryIo, SealRoundTrip) {
+  const std::string sealed = util::seal("HDRX", 3, sample_body());
+  util::BinaryReader reader(util::unseal(sealed, "HDRX", 3));
   EXPECT_EQ(reader.u64(), 77u);
   EXPECT_EQ(reader.str(), "payload");
   EXPECT_EQ(reader.f64_vector(), (std::vector<double>{1.5, -2.5}));
-  EXPECT_EQ(reader.crc_end(), written);
+  EXPECT_NO_THROW(reader.expect_end());
 }
 
-TEST(BinaryIo, CrcRegionDetectsBitFlip) {
-  std::stringstream stream;
-  {
-    util::BinaryWriter writer(stream);
-    writer.crc_begin();
-    writer.u64(77);
-    writer.str("payload");
-    writer.crc_end();
+// The sealed layout is an on-disk format: files already written must keep
+// loading, so these bytes for this tag, version and body never change.
+TEST(BinaryIo, SealBytesArePinned) {
+  EXPECT_EQ(hex(util::seal("HDRX", 3, sample_body())),
+            "4844525803000000000000004d00000000000000070000000000000070617"
+            "96c6f61640200000000000000000000000000f83f00000000000004c00d48"
+            "bfa700000000");
+}
+
+TEST(BinaryIo, UnsealRejectsEveryDamagedFrame) {
+  const std::string sealed = util::seal("HDRX", 3, sample_body());
+  // Flip a bit inside the string's characters: every field would still
+  // parse, only the CRC can tell.
+  std::string flipped = sealed;
+  flipped[12 + 17] ^= 0x40;
+  EXPECT_THROW(util::unseal(flipped, "HDRX", 3), CorruptCheckpoint);
+  for (const std::size_t keep : {std::size_t{0}, std::size_t{11},
+                                 std::size_t{19}, sealed.size() - 1}) {
+    const std::string truncated = sealed.substr(0, keep);
+    EXPECT_THROW(util::unseal(truncated, "HDRX", 3), CorruptCheckpoint)
+        << keep;
   }
-  std::string bytes = stream.str();
-  // Layout: u64 value (8 bytes), string length (8 bytes), then the chars;
-  // flip a bit inside the character payload so every field still parses.
-  bytes[17] ^= 0x40;
-  std::istringstream corrupted(bytes);
-  util::BinaryReader reader(corrupted);
-  reader.crc_begin();
+  EXPECT_THROW(util::unseal(sealed, "HDRY", 3), CorruptCheckpoint);
+  EXPECT_THROW(util::unseal(sealed, "HDRX", 4), CorruptCheckpoint);
+  const std::string trailing = sealed + std::string(1, '\0');
+  EXPECT_THROW(util::unseal(trailing, "HDRX", 3), CorruptCheckpoint);
+}
+
+TEST(BinaryIo, UnreadTrailingBytesAreRejected) {
+  const std::string body = sample_body();
+  util::BinaryReader reader(body);
   reader.u64();
   reader.str();
-  EXPECT_THROW(reader.crc_end(), CorruptCheckpoint);
+  EXPECT_THROW(reader.expect_end(), std::runtime_error);
+  reader.f64_vector();
+  EXPECT_NO_THROW(reader.expect_end());
 }
 
 TEST(BinaryIo, TagMismatchThrows) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.tag("AAAA");
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   EXPECT_THROW(reader.expect_tag("BBBB"), std::runtime_error);
 }
 
 TEST(BinaryIo, TruncatedStreamThrows) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.u64(1);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   reader.u64();
   EXPECT_THROW(reader.u64(), std::runtime_error);
 }
@@ -119,10 +140,10 @@ TEST(Serialization, DenseRoundTripPreservesInference) {
   nn::Matrix x(2, 4);
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
 
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   layer.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const nn::Dense loaded = nn::Dense::load(reader);
 
   const nn::Matrix before = layer.infer(x);
@@ -135,15 +156,15 @@ TEST(Serialization, DenseRoundTripPreservesInference) {
 // rows * cols wraps to 0 for rows = 2, cols = 2^63, so an empty weight
 // vector would satisfy an unguarded size check.
 TEST(Serialization, DenseRejectsWrappingShape) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.tag("DNSE");
   writer.u64(2);
   writer.u64(std::uint64_t{1} << 63);
   writer.u64(static_cast<std::uint64_t>(nn::Activation::kIdentity));
   writer.f64_vector({});
   writer.f64_vector({0.0, 0.0});
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   EXPECT_THROW(nn::Dense::load(reader), std::runtime_error);
 }
 
@@ -151,15 +172,15 @@ TEST(Serialization, DenseRejectsWrappingShape) {
 // must fail at load, not at the first infer.
 TEST(Serialization, DenseRejectsUnknownActivation) {
   const auto load = [](std::uint64_t activation) {
-    std::stringstream stream;
-    util::BinaryWriter writer(stream);
+    std::string bytes;
+    util::BinaryWriter writer(bytes);
     writer.tag("DNSE");
     writer.u64(1);
     writer.u64(2);
     writer.u64(activation);
     writer.f64_vector({0.5, -0.5});
     writer.f64_vector({0.25});
-    util::BinaryReader reader(stream);
+    util::BinaryReader reader(bytes);
     return nn::Dense::load(reader);
   };
   for (std::uint64_t activation : {std::uint64_t{4}, std::uint64_t{9},
@@ -178,10 +199,10 @@ TEST(Serialization, MlpRoundTrip) {
   nn::Matrix x(4, 3);
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal();
 
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   mlp.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const nn::Mlp loaded = nn::Mlp::load(reader);
 
   const nn::Matrix before = mlp.infer(x);
@@ -202,10 +223,10 @@ TEST(Serialization, SupervisedAutoencoderRoundTrip) {
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 2);
   ae.train(x, y);
 
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   ae.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const nn::SupervisedAutoencoder loaded =
       nn::SupervisedAutoencoder::load(reader);
 
@@ -225,8 +246,8 @@ TEST(Serialization, SupervisedAutoencoderRoundTrip) {
 // fields (mirrors SupervisedAutoencoder::save field by field).
 std::string autoencoder_record(std::int64_t epochs, std::uint64_t batch_size) {
   util::Rng rng(17);
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.tag("SAE1");
   writer.u64(3);
   for (std::uint64_t d : {4, 3, 2}) writer.u64(d);
@@ -247,13 +268,12 @@ std::string autoencoder_record(std::int64_t epochs, std::uint64_t batch_size) {
       .save(writer);
   nn::Mlp({2, 4, 1}, nn::Activation::kRelu, nn::Activation::kIdentity, rng)
       .save(writer);
-  return stream.str();
+  return bytes;
 }
 
 TEST(Serialization, SupervisedAutoencoderRejectsBadBatchOrEpochs) {
   const auto load = [](const std::string& bytes) {
-    std::stringstream stream(bytes);
-    util::BinaryReader reader(stream);
+    util::BinaryReader reader(bytes);
     return nn::SupervisedAutoencoder::load(reader);
   };
   EXPECT_EQ(load(autoencoder_record(0, 1)).config().epochs, 0);
@@ -269,10 +289,10 @@ TEST(Serialization, SupervisedAutoencoderRejectsBadBatchOrEpochs) {
 TEST(Serialization, ScalerRoundTrip) {
   ml::StandardScaler scaler;
   scaler.fit(nn::Matrix::from_rows({{1, 10}, {3, 20}, {5, 60}}));
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   scaler.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const ml::StandardScaler loaded = ml::StandardScaler::load(reader);
   EXPECT_EQ(loaded.mean(), scaler.mean());
   EXPECT_EQ(loaded.stddev(), scaler.stddev());
@@ -287,10 +307,10 @@ TEST(Serialization, KnnRoundTrip) {
   ml::KnnClassifier knn(5);
   knn.fit(x, y);
 
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   knn.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const ml::KnnClassifier loaded = ml::KnnClassifier::load(reader);
   EXPECT_EQ(loaded.k(), 5u);
   const auto before = knn.predict_proba(x);
@@ -312,10 +332,10 @@ TEST(Serialization, SvmRoundTripWithCalibration) {
   svm.fit(x, y);
   svm.calibrate(x, y);
 
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   svm.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const ml::SvmClassifier loaded = ml::SvmClassifier::load(reader);
   EXPECT_TRUE(loaded.trained());
   EXPECT_TRUE(loaded.calibrated());
@@ -327,8 +347,8 @@ TEST(Serialization, SvmRoundTripWithCalibration) {
 }
 
 TEST(Serialization, SvmRejectsWrappingShape) {
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   writer.tag("SVM0");
   writer.f64(1.0);                    // gamma
   writer.f64(0.0);                    // bias
@@ -340,8 +360,23 @@ TEST(Serialization, SvmRejectsWrappingShape) {
   writer.u64(0);
   writer.f64(-1.0);
   writer.f64(0.0);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   EXPECT_THROW(ml::SvmClassifier::load(reader), std::runtime_error);
+}
+
+// rows * cols wraps to 2 for rows = 2, cols = 2^63 + 1: without the guard
+// the classifier would load with a huge shape over two stored doubles.
+TEST(Serialization, KnnRejectsWrappingShape) {
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
+  writer.tag("KNN0");
+  writer.u64(1);                           // k
+  writer.u64(2);                           // rows
+  writer.u64((std::uint64_t{1} << 63) + 1);  // cols
+  writer.f64_vector({0.0, 0.0});
+  writer.i32_vector({0, 1});               // one label per row
+  util::BinaryReader reader(bytes);
+  EXPECT_THROW(ml::KnnClassifier::load(reader), std::runtime_error);
 }
 
 // ---------- core ----------
@@ -363,10 +398,10 @@ TEST(Serialization, PresenceModelRoundTrip) {
   core::PresenceModel model(cfg);
   model.train(x, y);
 
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   model.save(writer);
-  util::BinaryReader reader(stream);
+  util::BinaryReader reader(bytes);
   const core::PresenceModel loaded = core::PresenceModel::load(reader);
   EXPECT_TRUE(loaded.trained());
   EXPECT_EQ(loaded.feature_dim(), model.feature_dim());
@@ -378,8 +413,8 @@ TEST(Serialization, PresenceModelRoundTrip) {
 
 TEST(Serialization, UntrainedModelRefusesToSave) {
   core::PresenceModel model(core::PresenceModelConfig{});
-  std::stringstream stream;
-  util::BinaryWriter writer(stream);
+  std::string bytes;
+  util::BinaryWriter writer(bytes);
   EXPECT_THROW(model.save(writer), std::logic_error);
 }
 

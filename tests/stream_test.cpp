@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "stream/source.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace {
@@ -334,6 +336,27 @@ TEST(Snapshot, RoundTripsAndRefusesForeignFingerprint) {
   EXPECT_FALSE(stream::load_snapshot(dir + "/absent.fss", 1).has_value());
 }
 
+// The snapshot is an on-disk format: a daemon must load the snapshots its
+// earlier builds wrote, so the size and FNV-1a digest of this snapshot's
+// file never change.
+TEST(Snapshot, BytesArePinned) {
+  const std::string path = temp_dir("snapshot_pinned") + "/snapshot.fss";
+  stream::Snapshot snapshot;
+  snapshot.config_fingerprint = 0xfeedULL;
+  snapshot.consumed_lines = 17;
+  snapshot.shed_total = 2;
+  snapshot.quarantine_counts[1] = 3;
+  auto event = must_parse("9\t2010-10-19T10:00:00Z\t30.0\t-97.0\t4");
+  event.seq = 0;
+  snapshot.events.push_back(event);
+  stream::save_snapshot(path, snapshot);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(bytes.size(), 223u);
+  EXPECT_EQ(util::Fnv1a().bytes(bytes).digest(), 0xa47905033b9d1be5ULL);
+}
+
 // ---------- sources ----------
 
 TEST(Source, FileTailHoldsBackTornLines) {
@@ -424,6 +447,62 @@ stream::ServeConfig serve_config(std::string journal_dir) {
   cfg.snapshot_every = 3;
   cfg.journal_dir = std::move(journal_dir);
   return cfg;
+}
+
+// A forged event count must not reach an allocation: the snapshot fails
+// its CRC before any field is parsed, and recovery replays the journal
+// alone.
+TEST(Snapshot, ForgedEventCountFallsBackToJournal) {
+  const std::string dir = temp_dir("snapshot_forged_count");
+  const stream::ServeConfig cfg = serve_config(dir);
+  const std::uint64_t fingerprint =
+      stream::StreamEngine(cfg.engine).config_fingerprint();
+  const std::vector<std::string> lines = {
+      "1\t2010-10-19T10:00:00Z\t30.25\t-97.75\t5",
+      "2\t2010-10-19T10:30:00Z\t30.25\t-97.75\t5",
+      "3\t2010-10-19T11:00:00Z\t30.25\t-97.75\t6"};
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  write_file(dir + "/stream.txt", text);
+
+  stream::Snapshot snapshot;
+  snapshot.config_fingerprint = fingerprint;
+  snapshot.consumed_lines = 2;
+  {
+    stream::JournalWriter journal(dir + "/journal.fsj");
+    for (std::uint64_t i = 0; i < lines.size(); ++i) {
+      auto event = must_parse(lines[i]);
+      event.seq = i;
+      journal.append_accepted(i, event);
+      if (i < 2) snapshot.events.push_back(event);
+    }
+  }
+  const std::string snapshot_path = dir + "/snapshot.fss";
+  stream::save_snapshot(snapshot_path, snapshot);
+  ASSERT_TRUE(stream::load_snapshot(snapshot_path, fingerprint).has_value());
+
+  // The event count follows the tag, the version, three u64 fields and the
+  // quarantine census.
+  const std::streamoff count_offset =
+      4 + 8 + 3 * 8 + 8 * static_cast<std::streamoff>(stream::kRejectReasonCount);
+  std::fstream file(snapshot_path,
+                    std::ios::in | std::ios::out | std::ios::binary);
+  std::uint64_t count = 0;
+  file.seekg(count_offset);
+  file.read(reinterpret_cast<char*>(&count), sizeof count);
+  ASSERT_EQ(count, 2u);
+  const std::uint64_t forged = std::uint64_t{1} << 62;
+  file.seekp(count_offset);
+  file.write(reinterpret_cast<const char*>(&forged), sizeof forged);
+  file.close();
+
+  EXPECT_FALSE(stream::load_snapshot(snapshot_path, fingerprint).has_value());
+  stream::ServeDaemon daemon(
+      cfg, std::make_unique<stream::ReplaySource>(dir + "/stream.txt"));
+  const stream::RecoveryInfo info = daemon.recover();
+  EXPECT_FALSE(info.snapshot_used);
+  EXPECT_EQ(info.journal_frames_replayed, lines.size());
+  EXPECT_EQ(info.consumed_lines, lines.size());
 }
 
 TEST(Daemon, KillAndResumeConvergesToUninterruptedDigest) {

@@ -12,8 +12,6 @@
 
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "par/pool.h"
@@ -21,6 +19,7 @@
 #include "scenario/config.h"
 #include "scenario/runner.h"
 #include "util/args.h"
+#include "util/binary_io.h"
 #include "util/error.h"
 
 namespace {
@@ -28,11 +27,7 @@ namespace {
 namespace json = fs::obs::json;
 
 fs::scenario::ScenarioConfig load_config(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw fs::IoError("scenario config: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return fs::scenario::parse_scenario_config_text(text.str());
+  return fs::scenario::parse_scenario_config_text(fs::util::read_file(path));
 }
 
 int run_validate(const std::string& path) {
